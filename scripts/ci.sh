@@ -19,6 +19,21 @@ cmake --build "$build" -j "$jobs"
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
+# Benchmark driver smoke run (~30 s): builds benchmark/garibaldi_bench
+# against the root build/ and runs every workload at 1/50 length with
+# the rep/trace/result schema checks, so an API change that breaks the
+# driver fails here rather than in the benchmark pipeline.
+echo "== benchmark smoke (benchmark/run.py --smoke) =="
+if command -v python3 > /dev/null 2>&1; then
+  python3 "$repo/benchmark/run.py" --smoke > "$build/benchmark_smoke.txt" \
+      2>&1 || { tail -40 "$build/benchmark_smoke.txt"; exit 1; }
+  bench_smoke_status="pass"
+  echo "benchmark smoke: pass (log: $build/benchmark_smoke.txt)"
+else
+  bench_smoke_status="skip (no python3)"
+  echo "benchmark smoke: SKIP (no python3 on PATH)"
+fi
+
 # ---- correctness gates (see README "Correctness tooling") ------------
 # Determinism lint: hard gate; the fixture corpus that proves each rule
 # fires runs as the lint_determinism_fixtures ctest above.
@@ -484,6 +499,7 @@ cat > "$build/BENCH_correctness.json" <<EOF
   "thread_safety": "$thread_safety_status",
   "asan_ubsan_lane": "$asan_status",
   "tsan_lane": "$tsan_status",
+  "benchmark_smoke": "$bench_smoke_status",
   "audit_golden_identity": "pass"
 }
 EOF

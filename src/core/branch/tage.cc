@@ -18,7 +18,8 @@ constexpr std::array<unsigned, TagePredictor::kNumTables>
     TagePredictor::kHistLen;
 
 TagePredictor::TagePredictor()
-    : base(kBaseSize, SatCounter(2, 1)), btb(kBtbSize)
+    : base(kBaseSize, SatCounter(2, 1)),
+      btb(makeZeroedArray<BtbEntry>(kBtbSize))
 {
     for (auto &t : tables)
         t.resize(kTableSize);

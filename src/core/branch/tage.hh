@@ -16,6 +16,7 @@
 #include "common/sat_counter.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace garibaldi
 {
@@ -80,7 +81,7 @@ class TagePredictor
         Addr target = 0;
         bool valid = false;
     };
-    std::vector<BtbEntry> btb;
+    ZeroedArray<BtbEntry> btb; //!< all-zero = invalid
 
     std::uint64_t nLookups = 0;
     std::uint64_t nCorrect = 0;

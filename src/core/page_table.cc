@@ -16,13 +16,12 @@ PageTable::PageTable(CoreId core, std::uint64_t scatter_key)
 Addr
 PageTable::frameOf(Addr vpn)
 {
-    auto it = vpnToPpn.find(vpn);
-    if (it != vpnToPpn.end())
-        return it->second;
+    Addr &ppn = vpnToPpn.ref(vpn);
+    if (ppn != 0)
+        return ppn;
     if (nextIndex >= kZoneFrames)
         fatal("core physical zone exhausted (", nextIndex, " pages)");
-    Addr ppn = zoneBase + feistelPermute(nextIndex++, kZoneFrames, key);
-    vpnToPpn.emplace(vpn, ppn);
+    ppn = zoneBase + feistelPermute(nextIndex++, kZoneFrames, key);
     return ppn;
 }
 

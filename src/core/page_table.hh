@@ -10,9 +10,9 @@
 #define GARIBALDI_CORE_PAGE_TABLE_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/types.hh"
+#include "mem/flat_tables.hh"
 
 namespace garibaldi
 {
@@ -44,7 +44,8 @@ class PageTable
     Addr zoneBase;
     std::uint64_t key;
     std::uint64_t nextIndex = 0;
-    std::unordered_map<Addr, Addr> vpnToPpn;
+    /** vpn → ppn; a zone never starts at frame 0, so 0 means unmapped. */
+    FlatLineMap<Addr> vpnToPpn;
 };
 
 } // namespace garibaldi

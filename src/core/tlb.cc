@@ -24,13 +24,16 @@ Tlb::Tlb(std::uint32_t entries, std::uint32_t assoc_)
         fatal("TLB geometry invalid: ", entries, " entries, assoc ",
               assoc_);
     numSets = entries / assoc_;
-    entriesArr.resize(entries);
+    pow2Sets = isPowerOf2(numSets);
+    entriesArr = makeZeroedArray<Entry>(entries);
 }
 
 std::uint32_t
 Tlb::setOf(Addr vpn) const
 {
-    return static_cast<std::uint32_t>(mix64(vpn) % numSets);
+    std::uint64_t h = mix64(vpn);
+    return static_cast<std::uint32_t>(pow2Sets ? h & (numSets - 1)
+                                               : h % numSets);
 }
 
 bool

@@ -9,10 +9,10 @@
 #define GARIBALDI_CORE_TLB_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 
 namespace garibaldi
 {
@@ -47,8 +47,9 @@ class Tlb
     std::uint32_t setOf(Addr vpn) const;
 
     std::uint32_t numSets;
+    bool pow2Sets;   //!< setOf() may mask instead of dividing
     std::uint32_t assoc;
-    std::vector<Entry> entriesArr;
+    ZeroedArray<Entry> entriesArr; //!< all-zero = invalid
     Tick tick = 0;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;

@@ -111,8 +111,12 @@ Cache::Cache(const CacheParams &params_)
     if (params.instrPartitionWays >= params.assoc)
         fatal(params.name, ": instruction partition (",
               params.instrPartitionWays, " ways) must leave data ways");
-    linesArr.resize(lines);
-    probeTags.assign(lines, kInvalidProbeTag);
+    // All three arrays encode an invalid frame as zero, so they are
+    // zeroed arrays: a frame's page is first written by a fill.
+    probeTags = makeZeroedArray<Addr>(lines);
+    lineState = makeZeroedArray<std::uint8_t>(lines);
+    if (params.instrPartitionWays > 0)
+        lastUse = makeZeroedArray<Tick>(lines);
     repl = makePolicy(params.policy, nSets, params.assoc,
                       params.policyParams);
     pol.bind(params.policy, repl.get());
@@ -204,24 +208,26 @@ Cache::setOf(Addr line_addr) const
     return static_cast<std::uint32_t>(ln) & (nSets - 1);
 }
 
-CacheLine &
-Cache::frame(std::uint32_t set, std::uint32_t way)
-{
-    return linesArr[std::size_t{set} * params.assoc + way];
-}
-
-const CacheLine &
+CacheLine
 Cache::lineAt(std::uint32_t set, std::uint32_t way) const
 {
-    return linesArr[std::size_t{set} * params.assoc + way];
+    std::size_t i = frameIndex(set, way);
+    CacheLine l;
+    l.valid = probeTags[i] != 0;
+    l.tag = probeTags[i] & ~kValidTag;
+    l.dirty = lineState[i] & kDirty;
+    l.isInstr = lineState[i] & kInstr;
+    l.prefetched = lineState[i] & kPrefetched;
+    return l;
 }
 
 std::uint32_t
 Cache::probeWay(std::uint32_t set, Addr tag) const
 {
-    const Addr *base = &probeTags[std::size_t{set} * params.assoc];
+    const Addr *base = &probeTags[frameIndex(set, 0)];
+    Addr key = tag | kValidTag;
     for (std::uint32_t w = 0; w < params.assoc; ++w) {
-        if (base[w] == tag)
+        if (base[w] == key)
             return w;
     }
     return params.assoc;
@@ -231,42 +237,23 @@ std::uint32_t
 Cache::probeWayAndInvalid(std::uint32_t set, Addr tag,
                           std::uint32_t &first_invalid) const
 {
-    const Addr *base = &probeTags[std::size_t{set} * params.assoc];
+    const Addr *base = &probeTags[frameIndex(set, 0)];
+    Addr key = tag | kValidTag;
     first_invalid = params.assoc;
     for (std::uint32_t w = 0; w < params.assoc; ++w) {
-        if (base[w] == tag)
+        if (base[w] == key)
             return w;
-        if (base[w] == kInvalidProbeTag && first_invalid == params.assoc)
+        if (base[w] == 0 && first_invalid == params.assoc)
             first_invalid = w;
     }
     return params.assoc;
 }
 
-CacheLine *
-Cache::findInSet(std::uint32_t set, Addr tag)
-{
-    std::uint32_t w = probeWay(set, tag);
-    if (w == params.assoc)
-        return nullptr;
-    return &linesArr[std::size_t{set} * params.assoc + w];
-}
-
-CacheLine *
-Cache::findLine(Addr line_addr)
-{
-    return findInSet(setOf(line_addr), lineNumber(line_addr));
-}
-
-const CacheLine *
-Cache::findLine(Addr line_addr) const
-{
-    return const_cast<Cache *>(this)->findLine(line_addr);
-}
-
 bool
 Cache::contains(Addr line_addr) const
 {
-    return findLine(lineAlign(line_addr)) != nullptr;
+    Addr la = lineAlign(line_addr);
+    return probeWay(setOf(la), lineNumber(la)) < params.assoc;
 }
 
 bool
@@ -279,16 +266,13 @@ Cache::access(const MemAccess &acc)
     // One tag scan serves both the residency question the policy's
     // training hook asks and the hit path itself.
     std::uint32_t way = probeWay(set, tag);
-    CacheLine *line =
-        way < params.assoc
-            ? &linesArr[std::size_t{set} * params.assoc + way]
-            : nullptr;
+    bool resident = way < params.assoc;
 
     if (!acc.isPrefetch) {
         ++stat.accesses;
         if (acc.isInstr)
             ++stat.instrAccesses;
-        pol.onAccess(set, acc, line != nullptr);
+        pol.onAccess(set, acc, resident);
     }
 
     // Fig. 3(d) I-oracle: instructions always hit after first access and
@@ -308,20 +292,21 @@ Cache::access(const MemAccess &acc)
         return false;
     }
 
-    if (line) {
+    if (resident) {
         if (!acc.isPrefetch) {
             ++stat.hits;
             if (acc.isInstr)
                 ++stat.instrHits;
-            if (line->prefetched) {
-                line->prefetched = false;
+            std::size_t i = frameIndex(set, way);
+            if (lineState[i] & kPrefetched) {
+                lineState[i] &= ~kPrefetched;
                 ++stat.prefetchUseful;
             }
             pol.onHit(set, way, acc);
-            line->lastUse = ++useTick;
-            line->owner = acc.core;
+            if (lastUse)
+                lastUse[i] = ++useTick;
             if (acc.isWrite)
-                line->dirty = true;
+                lineState[i] |= kDirty;
         }
         return true;
     }
@@ -346,11 +331,11 @@ Cache::pickPartitionVictim(std::uint32_t set, bool instr_class)
     std::uint32_t best = lo;
     Tick best_tick = ~Tick{0};
     for (std::uint32_t w = lo; w < hi; ++w) {
-        CacheLine &l = frame(set, w);
-        if (!l.valid)
+        std::size_t i = frameIndex(set, w);
+        if (probeTags[i] == 0)
             return w;
-        if (l.lastUse < best_tick) {
-            best_tick = l.lastUse;
+        if (lastUse[i] < best_tick) {
+            best_tick = lastUse[i];
             best = w;
         }
     }
@@ -375,19 +360,20 @@ Cache::pickVictim(std::uint32_t set, const MemAccess &acc,
     // QBS-style selective instruction protection (Fig. 5(b)): query the
     // pair table when the nominated victim is an instruction line; a
     // protected victim is promoted and the policy re-queried, at most
-    // maxProtectAttempts times per eviction.
+    // maxProtectAttempts times per eviction.  (Partitioned caches never
+    // get here, so the promotion has no LRU stamp to refresh.)
     unsigned attempts = 0;
     while (attempts < companion->maxProtectAttempts()) {
-        CacheLine &cand = frame(set, way);
-        if (!cand.valid || !cand.isInstr)
+        std::size_t i = frameIndex(set, way);
+        if (probeTags[i] == 0 || !(lineState[i] & kInstr))
             break;
         ++stat.qbsQueries;
         qbsCycles += companion->queryCost();
-        if (!companion->shouldProtect(cand.tag << kLineShift))
+        if (!companion->shouldProtect((probeTags[i] & ~kValidTag)
+                                      << kLineShift))
             break;
         ++stat.qbsProtections;
         pol.promote(set, way);
-        cand.lastUse = ++useTick;
         ++attempts;
         way = pol.victim(set, acc);
     }
@@ -413,8 +399,8 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
     if (resident_way < params.assoc) {
         // Already present (e.g. writeback into a still-resident line or
         // a prefetch racing a demand fill): just merge status bits.
-        CacheLine &resident = frame(set, resident_way);
-        resident.dirty = resident.dirty || dirty || acc.isWrite;
+        if (dirty || acc.isWrite)
+            lineState[frameIndex(set, resident_way)] |= kDirty;
         return {};
     }
 
@@ -426,16 +412,16 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
         ++stat.partitionInstrInserts;
 
     std::uint32_t way = pickVictim(set, acc, instr_class, first_invalid);
-    CacheLine &l = frame(set, way);
+    std::size_t i = frameIndex(set, way);
 
     Eviction ev;
-    if (l.valid) {
+    if (probeTags[i] != 0) {
         ev.valid = true;
-        ev.lineAddr = l.tag << kLineShift;
-        ev.dirty = l.dirty;
-        ev.isInstr = l.isInstr;
+        ev.lineAddr = (probeTags[i] & ~kValidTag) << kLineShift;
+        ev.dirty = lineState[i] & kDirty;
+        ev.isInstr = lineState[i] & kInstr;
         ++stat.evictions;
-        if (l.isInstr)
+        if (ev.isInstr)
             ++stat.instrEvictions;
         if (ev.dirty)
             ++stat.writebacksOut;
@@ -444,14 +430,12 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
             companion->observeEvict(ev.lineAddr, ev.isInstr);
     }
 
-    l.tag = lineNumber(line_addr);
-    l.valid = true;
-    l.dirty = dirty || acc.isWrite;
-    l.isInstr = acc.isInstr;
-    l.prefetched = acc.isPrefetch;
-    l.lastUse = ++useTick;
-    l.owner = acc.core;
-    probeTags[std::size_t{set} * params.assoc + way] = l.tag;
+    probeTags[i] = tag | kValidTag;
+    lineState[i] = static_cast<std::uint8_t>(
+        (dirty || acc.isWrite ? kDirty : 0) | (acc.isInstr ? kInstr : 0) |
+        (acc.isPrefetch ? kPrefetched : 0));
+    if (lastUse)
+        lastUse[i] = ++useTick;
     pol.onInsert(set, way, acc);
     if (acc.isPrefetch)
         ++stat.prefetchInserts;
@@ -463,8 +447,11 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
 void
 Cache::setDirty(Addr line_addr)
 {
-    if (CacheLine *l = findLine(lineAlign(line_addr)))
-        l->dirty = true;
+    line_addr = lineAlign(line_addr);
+    std::uint32_t set = setOf(line_addr);
+    std::uint32_t w = probeWay(set, lineNumber(line_addr));
+    if (w < params.assoc)
+        lineState[frameIndex(set, w)] |= kDirty;
 }
 
 bool
@@ -476,13 +463,13 @@ Cache::invalidate(Addr line_addr)
     std::uint32_t w = probeWay(set, tag);
     if (w == params.assoc)
         return false;
-    CacheLine &l = frame(set, w);
-    bool was_dirty = l.dirty;
+    std::size_t i = frameIndex(set, w);
+    bool was_dirty = lineState[i] & kDirty;
     pol.onEvict(set, w);
     if (companion)
-        companion->observeEvict(line_addr, l.isInstr);
-    l.invalidate();
-    probeTags[std::size_t{set} * params.assoc + w] = kInvalidProbeTag;
+        companion->observeEvict(line_addr, lineState[i] & kInstr);
+    probeTags[i] = 0;
+    lineState[i] = 0;
     return was_dirty;
 }
 
@@ -503,8 +490,14 @@ Cache::pendingReady(Addr line_addr, Cycle now)
 {
     Addr key = lineNumber(line_addr);
     Cycle ready = pending.get(key);
-    if (ready == 0)
+    if (ready == 0) {
+        // The compaction schedule is unobservable only if no booking it
+        // dropped could still be in flight at a later query's clock.
+        SIM_ASSERT(pending.droppedReady(key) <= now, params.name,
+                   ": compaction dropped line ", key, " in flight until ",
+                   pending.droppedReady(key), ", queried at ", now);
         return 0;
+    }
     if (ready <= now) {
         pending.erase(key);
         return 0;

@@ -20,7 +20,7 @@
 #include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
-#include "mem/cache_line.hh"
+#include "common/zeroed_array.hh"
 #include "mem/flat_tables.hh"
 #include "mem/llc_companion.hh"
 #include "mem/policy/dispatch.hh"
@@ -120,6 +120,20 @@ struct CacheStats
     void accumulate(const CacheStats &other);
 
     StatSet toStatSet() const;
+};
+
+/**
+ * Snapshot of one line frame (tests and monitors).  Includes the 1-bit
+ * instruction indicator the paper adds to L2 and LLC blocks (§4.2) and a
+ * prefetched bit (modern caches distinguish prefetched lines, §5.3).
+ */
+struct CacheLine
+{
+    Addr tag = 0;            //!< full line address (paddr >> 6)
+    bool valid = false;
+    bool dirty = false;
+    bool isInstr = false;    //!< 1-bit instruction indicator
+    bool prefetched = false; //!< inserted by a prefetcher, not yet demanded
 };
 
 /** What an insertion displaced (for writebacks and directory upkeep). */
@@ -227,18 +241,26 @@ class Cache
     ReplacementPolicy &policy() { return *repl; }
 
     /** Line metadata at (set, way); for tests and monitors. */
-    const CacheLine &lineAt(std::uint32_t set, std::uint32_t way) const;
+    CacheLine lineAt(std::uint32_t set, std::uint32_t way) const;
 
     /** Set index of a line address. */
     std::uint32_t setOf(Addr line_addr) const;
 
   private:
-    /** Sentinel for an invalid frame in the probe array (line numbers
-     *  are < 2^58, so it can never collide with a real tag). */
-    static constexpr Addr kInvalidProbeTag = ~Addr{0};
+    /** Probe-tag bit marking a valid frame: line numbers are < 2^58, so
+     *  a valid frame's probe tag is never 0, which encodes "invalid". */
+    static constexpr Addr kValidTag = Addr{1} << 63;
+    /** lineState bits; 0 is a clean, data, demand-filled line. */
+    static constexpr std::uint8_t kDirty = 1;
+    static constexpr std::uint8_t kInstr = 2;
+    static constexpr std::uint8_t kPrefetched = 4;
 
     Cycle reserveSlot(std::vector<Cycle> &busy_until, Cycle at,
                       Cycle issued, std::uint64_t &queue_cycles);
+    std::size_t frameIndex(std::uint32_t set, std::uint32_t way) const
+    {
+        return std::size_t{set} * params.assoc + way;
+    }
     /** Way of @p tag in @p set, or assoc when absent (probe array). */
     std::uint32_t probeWay(std::uint32_t set, Addr tag) const;
     /**
@@ -249,10 +271,6 @@ class Cache
      */
     std::uint32_t probeWayAndInvalid(std::uint32_t set, Addr tag,
                                      std::uint32_t &first_invalid) const;
-    CacheLine *findInSet(std::uint32_t set, Addr tag);
-    CacheLine *findLine(Addr line_addr);
-    const CacheLine *findLine(Addr line_addr) const;
-    CacheLine &frame(std::uint32_t set, std::uint32_t way);
     std::uint32_t pickVictim(std::uint32_t set, const MemAccess &acc,
                              bool instr_class,
                              std::uint32_t first_invalid);
@@ -264,16 +282,18 @@ class Cache
     // is SIM_PER_WORKER; only the aggregate stats merge across shards.
     SIM_SHARED_CONST CacheParams params;
     SIM_SHARED_CONST std::uint32_t nSets;
-    SIM_PER_WORKER std::vector<CacheLine> linesArr;
     /**
-     * SoA probe metadata: per-frame line-number tag, kInvalidProbeTag
-     * when the frame is invalid.  The per-access tag scan and the
-     * invalid-way scan touch only this array (one or two host cache
-     * lines per set) instead of striding over CacheLine structs;
-     * linesArr stays authoritative for everything else (lineAt, dirty
-     * bits, eviction metadata).
+     * SoA frame metadata, indexed by frameIndex().  probeTags holds the
+     * line number | kValidTag, or 0 for an invalid frame: the per-access
+     * tag scan and the invalid-way scan touch only this row (one or two
+     * host cache lines per set).  lineState holds the dirty / instr /
+     * prefetched bits, one byte per frame, read on hits and evictions.
      */
-    SIM_PER_WORKER std::vector<Addr> probeTags;
+    SIM_PER_WORKER ZeroedArray<Addr> probeTags;
+    SIM_PER_WORKER ZeroedArray<std::uint8_t> lineState;
+    /** Per-frame LRU stamps; allocated only with way partitioning, the
+     *  one victim path that reads them. */
+    SIM_PER_WORKER ZeroedArray<Tick> lastUse;
     SIM_PER_WORKER std::unique_ptr<ReplacementPolicy> repl;
     /** Devirtualized hot-path view of *repl (same object). */
     SIM_PER_WORKER PolicyDispatch pol;

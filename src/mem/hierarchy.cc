@@ -16,7 +16,7 @@ SIM_STATS(MemoryHierarchy,
     SIM_STAT("coherence_penalty_cycles", counter));
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
-    : params(params_), instrCrit(params_.instrCritEntries)
+    : params(params_)
 {
     if (params.numCores == 0)
         fatal("hierarchy needs at least one core");
@@ -56,6 +56,9 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
                                           params.llcBankInterleaveShift);
     dramModel = std::make_unique<Dram>(params.dram);
     dir = std::make_unique<Directory>(clusters);
+    if (params.llc.instrPartitionWays > 0 && params.llc.partitionCriticalOnly)
+        instrCrit =
+            std::make_unique<DecayingCounterTable>(params.instrCritEntries);
 }
 
 void
@@ -78,7 +81,7 @@ MemoryHierarchy::instrIsCritical(Addr line_addr)
     // the LLC repeatedly are the ones stalling the decoders.  The
     // tracker is a bounded decaying table, so arbitrarily long runs see
     // stale lines age out instead of the book growing forever.
-    return instrCrit.increment(lineNumber(line_addr)) >= 2;
+    return instrCrit->increment(lineNumber(line_addr)) >= 2;
 }
 
 AccessOutcome

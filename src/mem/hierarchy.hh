@@ -186,7 +186,9 @@ class MemoryHierarchy
     SIM_PER_WORKER std::vector<Addr> pfScratch; // prefetch scratch
     SIM_PER_WORKER std::vector<std::uint32_t>
         invalScratch; // directory sharer lists
-    SIM_PER_WORKER DecayingCounterTable instrCrit;
+    /** Instruction-criticality tracker; built only when the LLC's
+     *  critical-only partition filter, its one reader, is on. */
+    SIM_PER_WORKER std::unique_ptr<DecayingCounterTable> instrCrit;
     SIM_EPOCH_MERGED(sum) std::uint64_t mshrStalls = 0;
     SIM_EPOCH_MERGED(sum) std::uint64_t coherencePenaltyCycles = 0;
 };

@@ -5,7 +5,7 @@ namespace garibaldi
 
 LruPolicy::LruPolicy(std::uint32_t num_sets, std::uint32_t assoc_)
     : ReplacementPolicy(num_sets, assoc_),
-      stamps(std::size_t{num_sets} * assoc_, 0)
+      stamps(makeZeroedArray<Tick>(std::size_t{num_sets} * assoc_))
 {
 }
 

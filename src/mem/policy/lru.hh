@@ -6,8 +6,7 @@
 #ifndef GARIBALDI_MEM_POLICY_LRU_HH
 #define GARIBALDI_MEM_POLICY_LRU_HH
 
-#include <vector>
-
+#include "common/zeroed_array.hh"
 #include "mem/policy/replacement.hh"
 
 namespace garibaldi
@@ -34,7 +33,7 @@ class LruPolicy final : public ReplacementPolicy
         return stamps[std::size_t{set} * assoc + way];
     }
 
-    std::vector<Tick> stamps;
+    ZeroedArray<Tick> stamps; //!< 0 = never touched (or evicted)
     Tick tick = 0;
 };
 

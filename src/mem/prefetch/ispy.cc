@@ -8,11 +8,12 @@ namespace garibaldi
 
 IspyPrefetcher::IspyPrefetcher(std::size_t table_entries,
                                unsigned successors)
-    : tags(table_entries, 0),
-      table(table_entries),
+    : indexMask(table_entries - 1),
       numSucc(successors > kMaxSucc ? kMaxSucc : successors)
 {
     checkPowerOf2(table_entries, "I-SPY table size");
+    tags = makeZeroedArray<Addr>(table_entries);
+    table = makeZeroedArray<Succ>(table_entries);
     if (numSucc == 0)
         numSucc = 1;
 }
@@ -20,7 +21,7 @@ IspyPrefetcher::IspyPrefetcher(std::size_t table_entries,
 std::size_t
 IspyPrefetcher::indexOf(Addr context) const
 {
-    return static_cast<std::size_t>(mix64(context)) & (table.size() - 1);
+    return static_cast<std::size_t>(mix64(context)) & indexMask;
 }
 
 void

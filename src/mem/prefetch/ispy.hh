@@ -13,6 +13,7 @@
 #include <array>
 #include <vector>
 
+#include "common/zeroed_array.hh"
 #include "mem/prefetch/prefetcher.hh"
 
 namespace garibaldi
@@ -51,10 +52,12 @@ class IspyPrefetcher : public Prefetcher
      * empty; real contexts hashing to zero simply retrain, as before
      * with the valid flag) so the common no-match probe reads one
      * 8-byte tag instead of dragging a 48-byte entry through the host
-     * cache.  Successor payloads are only touched on a match.
+     * cache.  Successor payloads are only touched on a match.  Both
+     * start all-zero.
      */
-    std::vector<Addr> tags;
-    std::vector<Succ> table;
+    ZeroedArray<Addr> tags;
+    ZeroedArray<Succ> table;
+    std::size_t indexMask;
     unsigned numSucc;
     Addr prevMiss = 0;
     Addr prevPrevMiss = 0;

@@ -3,11 +3,17 @@
  * Unit tests for the set-associative cache: geometry, hit/miss paths,
  * eviction/writeback, MSHR pending-merge, the instruction bit, the
  * prefetched bit, the I-oracle mode, way partitioning and the QBS
- * companion hooks.
+ * companion hooks; the MSHR book (PendingTable) against a std::map
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/audit.hh"
+#include "common/rng.hh"
 #include "mem/cache.hh"
 
 namespace garibaldi
@@ -166,6 +172,95 @@ TEST(Cache, MshrsFullDetection)
     EXPECT_TRUE(c.mshrsFull(0));
     // Completed fills free MSHRs.
     EXPECT_FALSE(c.mshrsFull(2000));
+}
+
+/**
+ * PendingTable against a std::map reference holding every booking no
+ * query has yet seen complete.  The query clock wanders behind a rising
+ * high-water mark by less than kExpirySlack, the simulator's bound, so
+ * compaction may drop long-expired bookings but never visibly: every
+ * get-and-erase answer (Cache::pendingReady) matches, the table holds
+ * exactly the reference entries compaction did not drop, and after each
+ * prune its size() equals the reference's in-flight count.  The first
+ * half of the stream never prunes (an L2's book); the second half adds
+ * prunes (an L1's book), whose first call builds the expiry heap.
+ */
+TEST(PendingTable, MatchesMapReference)
+{
+    // Record compaction drops so the audit book is checked too.
+    audit::setEnabled(audit::kCompiledIn);
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        PendingTable pt(8);
+        std::map<Addr, Cycle> ref;
+        Pcg32 rng(seed, 11);
+        Cycle high = 0;
+        std::size_t prunes = 0;
+        std::size_t max_dropped = 0;
+        constexpr int kSteps = 200000;
+        for (int step = 0; step < kSteps; ++step) {
+            high += rng.nextBounded(32);
+            Cycle back = rng.nextBounded(
+                static_cast<std::uint32_t>(PendingTable::kExpirySlack / 2));
+            Cycle now = high > back ? high - back : 0;
+            Addr key = rng.nextBounded(1 << 14);
+            std::uint32_t op = rng.nextBounded(20);
+            if (op < 9) {
+                Cycle ready = now + 1 + rng.nextBounded(4000);
+                pt.set(key, ready);
+                ref[key] = ready;
+            } else if (op < 18 || step < kSteps / 2) {
+                Cycle got = pt.get(key);
+                if (got != 0 && got <= now) {
+                    pt.erase(key);
+                    got = 0;
+                }
+                if (got == 0) {
+                    EXPECT_LE(pt.droppedReady(key), now) << "step " << step;
+                }
+                auto it = ref.find(key);
+                Cycle want = 0;
+                if (it != ref.end()) {
+                    if (it->second <= now)
+                        ref.erase(it);
+                    else
+                        want = it->second;
+                }
+                ASSERT_EQ(got, want) << "step " << step << " key " << key;
+            } else {
+                pt.pruneExpired(now);
+                for (auto it = ref.begin(); it != ref.end();)
+                    it = it->second <= now ? ref.erase(it) : std::next(it);
+                ++prunes;
+                ASSERT_EQ(pt.size(), ref.size()) << "step " << step;
+            }
+            ASSERT_LE(pt.size(), ref.size()) << "step " << step;
+            if (step % 1024 == 0 || step == kSteps - 1) {
+                // Whatever the table lacks, compaction dropped: same
+                // ready time, long expired.
+                std::size_t dropped = 0;
+                for (const auto &[k, ready] : ref) {
+                    Cycle got = pt.get(k);
+                    if (got == 0) {
+                        ++dropped;
+                        ASSERT_LE(ready + PendingTable::kExpirySlack,
+                                  high + 4000)
+                            << "step " << step << " key " << k;
+                        if (audit::kCompiledIn) {
+                            ASSERT_EQ(pt.droppedReady(k), ready);
+                        }
+                    } else {
+                        ASSERT_EQ(got, ready);
+                    }
+                }
+                ASSERT_EQ(pt.size(), ref.size() - dropped) << "step " << step;
+                max_dropped = std::max(max_dropped, dropped);
+            }
+        }
+        EXPECT_GT(prunes, 1000u);
+        EXPECT_GT(max_dropped, 0u) << "stream never exercised a drop";
+    }
+    audit::setEnabled(false);
 }
 
 TEST(Cache, OracleInstrAlwaysHitsAfterFirstTouch)

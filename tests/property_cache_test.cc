@@ -6,7 +6,8 @@
  *
  * These catch classes of bugs single-scenario unit tests miss: state
  * corruption that only appears after long histories, tag aliasing,
- * counter wraparound and eviction bookkeeping drift.
+ * counter wraparound and eviction bookkeeping drift.  The LRU cache is
+ * also checked access by access against a naive vector-of-lines model.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +167,178 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PolicyKind> &pinfo) {
         return std::string(policyKindName(pinfo.param));
     });
+
+// --------------------------------------------------------------------
+// Differential test: Cache (LRU) against an obviously correct model.
+// --------------------------------------------------------------------
+
+/**
+ * Vector-of-lines LRU cache with the Cache's observable semantics:
+ * demand hits and fills refresh recency, prefetch hits do not; a fill
+ * takes the lowest invalid way, else the least recent way; with way
+ * partitioning, instruction lines live in ways [0, P) and the rest in
+ * [P, assoc), each region choosing its own victim.
+ */
+class NaiveLruCache
+{
+  public:
+    struct Line
+    {
+        bool valid = false;
+        Addr tag = 0;
+        bool dirty = false;
+        bool isInstr = false;
+        bool prefetched = false;
+        std::uint64_t used = 0;
+    };
+
+    NaiveLruCache(std::uint32_t sets, std::uint32_t ways,
+                  std::uint32_t instr_ways)
+        : lines(sets, std::vector<Line>(ways)), instrWays(instr_ways)
+    {
+    }
+
+    bool
+    access(const MemAccess &a)
+    {
+        Line *l = find(a.lineAddr());
+        if (l && !a.isPrefetch) {
+            l->used = ++tick;
+            l->dirty = l->dirty || a.isWrite;
+            l->prefetched = false;
+        }
+        return l != nullptr;
+    }
+
+    /** @return the eviction; @p way receives the filled way. */
+    Eviction
+    insert(const MemAccess &a, bool dirty, std::uint32_t &way)
+    {
+        way = ~0u;
+        if (Line *l = find(a.lineAddr())) {
+            l->dirty = l->dirty || dirty || a.isWrite;
+            return {};
+        }
+        std::vector<Line> &set = setOf(a.lineAddr());
+        std::uint32_t lo = 0;
+        std::uint32_t hi = static_cast<std::uint32_t>(set.size());
+        if (instrWays > 0)
+            (a.isInstr ? hi : lo) = instrWays;
+        for (std::uint32_t w = lo; w < hi && way == ~0u; ++w)
+            if (!set[w].valid)
+                way = w;
+        if (way == ~0u) {
+            way = lo;
+            for (std::uint32_t w = lo; w < hi; ++w)
+                if (set[w].used < set[way].used)
+                    way = w;
+        }
+        Line &v = set[way];
+        Eviction ev;
+        if (v.valid)
+            ev = {true, v.tag << kLineShift, v.dirty, v.isInstr};
+        v = {true, lineNumber(a.lineAddr()), dirty || a.isWrite,
+             a.isInstr, a.isPrefetch, ++tick};
+        return ev;
+    }
+
+    bool
+    invalidate(Addr line_addr)
+    {
+        Line *l = find(line_addr);
+        if (!l)
+            return false;
+        bool was_dirty = l->dirty;
+        *l = Line{};
+        return was_dirty;
+    }
+
+    const Line &at(std::uint32_t set, std::uint32_t way) const
+    {
+        return lines[set][way];
+    }
+
+  private:
+    std::vector<Line> &
+    setOf(Addr line_addr)
+    {
+        return lines[lineNumber(line_addr) % lines.size()];
+    }
+
+    Line *
+    find(Addr line_addr)
+    {
+        for (Line &l : setOf(line_addr))
+            if (l.valid && l.tag == lineNumber(line_addr))
+                return &l;
+        return nullptr;
+    }
+
+    std::vector<std::vector<Line>> lines;
+    std::uint32_t instrWays;
+    std::uint64_t tick = 0;
+};
+
+TEST(CacheDifferential, MatchesNaiveLruModel)
+{
+    for (std::uint32_t instr_ways : {0u, 3u}) {
+        SCOPED_TRACE(instr_ways);
+        CacheParams p;
+        p.name = "diff";
+        p.sizeBytes = 16 * 1024; // 256 lines
+        p.assoc = 8;             // 32 sets
+        p.policy = PolicyKind::LRU;
+        p.instrPartitionWays = instr_ways;
+        Cache cache(p);
+        NaiveLruCache ref(cache.numSets(), cache.assoc(), instr_ways);
+        Pcg32 rng(61 + instr_ways, 9);
+        for (int i = 0; i < 100000; ++i) {
+            MemAccess a;
+            a.paddr = Addr{rng.nextBounded(1024)} << kLineShift;
+            a.pc = rng.next() & ~3u;
+            a.isInstr = rng.chance(0.3);
+            a.isWrite = !a.isInstr && rng.chance(0.2);
+            a.isPrefetch = rng.chance(0.1);
+            if (rng.chance(0.02)) {
+                ASSERT_EQ(cache.invalidate(a.paddr),
+                          ref.invalidate(a.lineAddr())) << "step " << i;
+                continue;
+            }
+            bool hit = cache.access(a);
+            ASSERT_EQ(hit, ref.access(a)) << "step " << i;
+            // Occasionally re-insert a resident line, as a writeback
+            // into a still-resident line does: it only merges dirty.
+            if (hit && !rng.chance(0.05))
+                continue;
+            bool dirty = rng.chance(0.1);
+            std::uint32_t want_way;
+            Eviction want = ref.insert(a, dirty, want_way);
+            Eviction got = cache.insert(a, dirty);
+            ASSERT_EQ(got.valid, want.valid) << "step " << i;
+            ASSERT_EQ(got.lineAddr, want.lineAddr) << "step " << i;
+            ASSERT_EQ(got.dirty, want.dirty) << "step " << i;
+            ASSERT_EQ(got.isInstr, want.isInstr) << "step " << i;
+            if (hit)
+                continue;
+            std::uint32_t set = cache.setOf(a.lineAddr());
+            ASSERT_TRUE(cache.lineAt(set, want_way).valid);
+            ASSERT_EQ(cache.lineAt(set, want_way).tag,
+                      lineNumber(a.lineAddr())) << "step " << i;
+        }
+        for (std::uint32_t s = 0; s < cache.numSets(); ++s)
+            for (std::uint32_t w = 0; w < cache.assoc(); ++w) {
+                CacheLine got = cache.lineAt(s, w);
+                const NaiveLruCache::Line &want = ref.at(s, w);
+                ASSERT_EQ(got.valid, want.valid);
+                if (!want.valid)
+                    continue;
+                EXPECT_EQ(got.tag, want.tag);
+                EXPECT_EQ(got.dirty, want.dirty);
+                EXPECT_EQ(got.isInstr, want.isInstr);
+                EXPECT_EQ(got.prefetched, want.prefetched);
+            }
+    }
+}
 
 // --------------------------------------------------------------------
 // Pair table properties under random interleavings.

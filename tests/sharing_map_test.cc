@@ -155,12 +155,14 @@ TEST_F(SharingMapTest, EveryMemberHasAValidClassification)
             EXPECT_EQ(validClassifications().count(c), 1u)
                 << kv.first << "::" << mem.first << " has unknown "
                 << "classification '" << c << "'";
-            if (c == "guarded")
+            if (c == "guarded") {
                 EXPECT_TRUE(mem.second.has("guard"))
                     << kv.first << "::" << mem.first;
-            if (c == "epoch-merged")
+            }
+            if (c == "epoch-merged") {
                 EXPECT_TRUE(mem.second.has("merge"))
                     << kv.first << "::" << mem.first;
+            }
         }
     }
     // The hierarchy's boundary classes are not empty shells.
