@@ -41,82 +41,11 @@ echo "== determinism lint (src/ bench/ examples/) =="
 lint_status="pass"
 if command -v python3 > /dev/null 2>&1; then
   python3 "$repo/scripts/lint_determinism.py" \
-      --json "$build/lint_determinism.json" \
       "$repo/src" "$repo/bench" "$repo/examples"
   echo "determinism lint: clean"
 else
   lint_status="skip (no python3)"
   echo "determinism lint: SKIP (no python3 on PATH)"
-fi
-
-# Sharing analyzer: hard gate at zero findings over src/; the emitted
-# sharing map is the machine-readable contract the parallelism PR will
-# consume (fixture corpus: sharing_lint_fixtures ctest; map shape:
-# sharing_map_test ctest).
-echo "== sharing analyzer (src/) =="
-sharing_status="pass"
-if command -v python3 > /dev/null 2>&1; then
-  python3 "$repo/scripts/analyze_sharing.py" \
-      --emit "$build/sharing_map.json" \
-      --json "$build/analyze_sharing.json" "$repo/src"
-  echo "sharing analyzer: clean (map: $build/sharing_map.json)"
-else
-  sharing_status="skip (no python3)"
-  echo "sharing analyzer: SKIP (no python3 on PATH)"
-fi
-
-# Stat-semantics analyzer: hard gate at zero findings over src/; every
-# StatSet::add site must match a declared kind, and the sharing-map
-# cross-check rejects stats whose merge op cannot be derived from
-# their producer's SIM_EPOCH_MERGED members.  The emitted stat map is
-# the windowing/merge contract the parallelism PR consumes alongside
-# sharing_map.json (fixture corpus: stat_lint_fixtures ctest; map
-# shape: stat_map_test ctest; consumer drift: stat_refs_guard ctest).
-echo "== stat-semantics analyzer (src/) =="
-stats_status="pass"
-if command -v python3 > /dev/null 2>&1; then
-  python3 "$repo/scripts/analyze_stats.py" \
-      --emit "$build/stat_map.json" \
-      --sharing-map "$build/sharing_map.json" \
-      --json "$build/analyze_stats.json" "$repo/src"
-  echo "stat analyzer: clean (map: $build/stat_map.json)"
-  # Cross-map wiring check: the merge cross-check above only bites if
-  # the two contracts actually overlap, so pin that they share
-  # producers and that site coverage is total.
-  python3 - "$build/sharing_map.json" "$build/stat_map.json" <<'EOF'
-import json, sys
-sharing = json.load(open(sys.argv[1]))
-stats = json.load(open(sys.argv[2]))
-cov = stats["coverage"]
-if cov["add_sites"] == 0 or cov["add_sites"] != cov["matched_sites"]:
-    sys.exit("stat map coverage gap: %(matched_sites)d/%(add_sites)d"
-             % cov)
-shared = set(sharing["classes"]) & set(stats["producers"])
-if not shared:
-    sys.exit("sharing_map and stat_map share no producer class; the "
-             "merge cross-check is running on empty input")
-print("cross-check: %d producer(s) in both maps (%s, ...)"
-      % (len(shared), sorted(shared)[0]))
-EOF
-  # One aggregated machine-readable report across the three lints.
-  python3 - "$build" <<'EOF'
-import json, os, sys
-build = sys.argv[1]
-tools = ["lint_determinism", "analyze_sharing", "analyze_stats"]
-report = {"schema": "garibaldi-lint-report-v1", "tools": {}}
-for t in tools:
-    p = os.path.join(build, t + ".json")
-    doc = json.load(open(p))
-    report["tools"][doc["tool"]] = doc["findings"]
-out = os.path.join(build, "lint_report.json")
-json.dump(report, open(out, "w"), indent=2, sort_keys=True)
-total = sum(len(v) for v in report["tools"].values())
-print("lint report: %d finding(s) across %d tools -> %s"
-      % (total, len(tools), out))
-EOF
-else
-  stats_status="skip (no python3)"
-  echo "stat analyzer: SKIP (no python3 on PATH)"
 fi
 
 # clang-tidy gate: zero warnings via WarningsAsErrors in .clang-tidy;
@@ -493,8 +422,6 @@ fi
 cat > "$build/BENCH_correctness.json" <<EOF
 {
   "lint_determinism": "$lint_status",
-  "sharing_lint": "$sharing_status",
-  "stats_lint": "$stats_status",
   "clang_tidy": "$tidy_status",
   "thread_safety": "$thread_safety_status",
   "asan_ubsan_lane": "$asan_status",

@@ -1,21 +1,16 @@
 #!/usr/bin/env python3
-"""Shared lightweight C++ source scanning for the repo's lints.
+"""Lightweight C++ source scanning for scripts/lint_determinism.py.
 
-Home of the comment/string-stripping scanner that lint_determinism.py
-has always used, plus a brace-scope walker that classifies every brace
-pair as namespace / class / enum / function-or-other scope.  Both
-scripts/lint_determinism.py and scripts/analyze_sharing.py build on
-these helpers so the two lints agree on what they are looking at.
+A comment/string-stripping scanner plus a brace-scope walker that
+classifies every brace pair as namespace / class / enum /
+function-or-other scope.
 
 Nothing here is a full C++ parser; it is a deliberately small textual
 model that the codebase's style (clang-format, brace member
 initializers, no macros hiding braces) keeps honest, and that the
-fixture corpora under tests/lint_fixtures/ pin.
+fixture corpus under tests/lint_fixtures/ pins.
 """
 
-import bisect
-import json
-import os
 import re
 
 
@@ -99,24 +94,13 @@ class Scope:
     """One brace pair: text[open_idx] == '{', text[close_idx] == '}'
     (close_idx == len(text) when unbalanced).  kind is 'namespace',
     'class', 'enum' or 'other' (function bodies, control flow,
-    initializers — anything statement-like).  name is set for
-    namespace/class scopes when one can be read off the head."""
+    initializers — anything statement-like)."""
 
-    def __init__(self, kind, name, open_idx, parent):
+    def __init__(self, kind, open_idx, parent):
         self.kind = kind
-        self.name = name
         self.open_idx = open_idx
         self.close_idx = None
         self.parent = parent  # index into the scopes list, or None
-
-    def ns_chain(self, scopes):
-        """True when every enclosing scope is a namespace."""
-        p = self.parent
-        while p is not None:
-            if scopes[p].kind != "namespace":
-                return False
-            p = scopes[p].parent
-        return True
 
 
 _HEAD_TYPE_RE = re.compile(
@@ -124,10 +108,6 @@ _HEAD_TYPE_RE = re.compile(
     r"(?:class|struct|union)\b")
 _HEAD_ENUM_RE = re.compile(r"^\s*enum\b")
 _HEAD_NS_RE = re.compile(r"^\s*(?:inline\s+)?namespace\b")
-_NAME_RE = re.compile(
-    r"\b(?:class|struct|union|namespace)\s+"
-    r"(?:SIM_\w+\s*\([^()]*\)\s*)?"   # attribute macro between kw and name
-    r"([A-Za-z_]\w*)")
 
 
 def brace_scopes(stripped):
@@ -153,10 +133,8 @@ def brace_scopes(stripped):
                 kind = "enum"
             else:
                 kind = "other"
-            m = _NAME_RE.search(head)
-            name = m.group(1) if m else ""
             parent = stack[-1] if stack else None
-            scopes.append(Scope(kind, name, i, parent))
+            scopes.append(Scope(kind, i, parent))
             stack.append(len(scopes) - 1)
             head_start = i + 1
         elif c == "}":
@@ -192,65 +170,6 @@ def scope_kind_at(scopes, idx):
     return best.kind
 
 
-class LineIndex:
-    """Map character offsets to 1-based line numbers."""
-
-    def __init__(self, text):
-        self.starts = [0]
-        for i, c in enumerate(text):
-            if c == "\n":
-                self.starts.append(i + 1)
-
-    def line_of(self, idx):
-        return bisect.bisect_right(self.starts, idx)
-
-
-def direct_statements(stripped, start, end, line_index):
-    """Statements directly inside stripped[start:end], with nested brace
-    groups collapsed to '{}'.  A statement ends at a top-level ';' or at
-    a top-level '}' (function definitions carry no trailing ';').
-    Yields (first_line, last_line, text)."""
-    depth = 0
-    buf = []
-    stmt_start = None
-    i = start
-    while i < end:
-        c = stripped[i]
-        if c == "{":
-            depth += 1
-            if depth == 1:
-                buf.append("{}")
-        elif c == "}":
-            depth -= 1
-            if depth == 0:
-                # close of a nested group: end the statement here so
-                # `void f() { ... }` (no ';') still terminates.
-                if stmt_start is not None:
-                    yield (line_index.line_of(stmt_start),
-                           line_index.line_of(i), "".join(buf))
-                buf = []
-                stmt_start = None
-            if depth < 0:
-                depth = 0
-        elif depth == 0:
-            if c == ";":
-                if stmt_start is not None:
-                    yield (line_index.line_of(stmt_start),
-                           line_index.line_of(i), "".join(buf))
-                buf = []
-                stmt_start = None
-            elif not c.isspace():
-                if stmt_start is None:
-                    stmt_start = i
-                buf.append(c)
-            elif buf:
-                buf.append(" ")
-        i += 1
-    if stmt_start is not None:
-        yield (line_index.line_of(stmt_start), line_index.line_of(end - 1),
-               "".join(buf))
-
-
 def collapse_angles(s):
     """Remove balanced template-argument lists so member parens inside
     e.g. std::function<void()> stop looking like parameter lists."""
@@ -259,26 +178,3 @@ def collapse_angles(s):
         prev = s
         s = re.sub(r"<[^<>]*>", "", s)
     return s
-
-
-def write_findings_json(path, tool, findings):
-    """The common machine-readable findings report every lint in this
-    repo emits under --json: {schema, tool, findings: [{rule, file,
-    line, message}]}.  `findings` are objects with .rule, .path,
-    .line, .msg (the Finding shape all three lints share); ci.sh
-    aggregates the per-tool reports into one lint_report.json."""
-    doc = {
-        "schema": "garibaldi-lint-findings-v1",
-        "tool": tool,
-        "findings": [
-            {"rule": f.rule, "file": str(f.path), "line": f.line,
-             "message": f.msg}
-            for f in findings
-        ],
-    }
-    d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")

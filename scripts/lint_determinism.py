@@ -32,11 +32,9 @@ flags the source patterns that historically cause such breaks:
   static-mutable       a function-local static or file/namespace-scope
                        static variable that is not const/constexpr.
                        Hidden mutable statics are a replay hazard (state
-                       leaks across runs in one process) and a sharding
-                       hazard for the intra-sim parallelism work; such
-                       state must be hoisted into an owner object or
-                       classified via src/common/sharing.hh and
-                       scripts/analyze_sharing.py.
+                       leaks across runs in one process, and across
+                       sweep jobs sharing the process); such state
+                       must be hoisted into an owner object.
 
 Suppression: a finding is waived by an annotation on the same line or
 the line directly above:
@@ -45,10 +43,7 @@ the line directly above:
 
 The justification is mandatory; a bare allow() is itself a finding.
 
-Usage: lint_determinism.py [--json PATH] [--list-rules]
-                           <file-or-dir>...
---json writes the common machine-readable findings report (rule, file,
-line, message) that ci.sh aggregates across all three lints.
+Usage: lint_determinism.py [--list-rules] <file-or-dir>...
 Exit status: 0 when clean, 1 when findings (or bad usage).
 """
 
@@ -57,7 +52,7 @@ import re
 import sys
 
 from cpp_scan import (brace_scopes, collapse_angles, scope_kind_at,
-                      strip_code, strip_preproc, write_findings_json)
+                      strip_code, strip_preproc)
 
 RULES = (
     "unordered-iteration",
@@ -147,7 +142,7 @@ def scan_rule(findings, path, stripped_lines, rule, pattern, msg):
 def static_mutable_scan(findings, path, rel, stripped):
     """Flag non-const statics at function, file, or namespace scope.
     Class-scope statics (member declarations, method declarations) are
-    the class's business and are covered by analyze_sharing.py."""
+    the class's business."""
     if any(x in rel for x in STATIC_MUTABLE_SKIP):
         return
     if any(rel.endswith(x) for x in STATIC_MUTABLE_EXEMPT):
@@ -178,11 +173,9 @@ def static_mutable_scan(findings, path, rel, stripped):
             continue
         findings.append(Finding(
             path, stripped.count("\n", 0, idx) + 1, "static-mutable",
-            "mutable static state is shared across all callers: a "
-            "replay hazard and a sharding hazard; make it const, hoist "
-            "it into an owner object, or classify it with "
-            "src/common/sharing.hh markers (scripts/analyze_sharing.py "
-            "tracks the classification)"))
+            "mutable static state is shared across all callers and "
+            "every run in the process: a replay hazard; make it const "
+            "or hoist it into an owner object"))
 
 
 def lint_file(path, rel, sibling_unordered):
@@ -336,15 +329,6 @@ def main(argv):
     if "--list-rules" in args:
         print("\n".join(RULES))
         return 0
-    json_path = None
-    if "--json" in args:
-        i = args.index("--json")
-        if i + 1 >= len(args):
-            print("lint_determinism: --json needs a value",
-                  file=sys.stderr)
-            return 1
-        json_path = args[i + 1]
-        args = args[:i] + args[i + 2:]
     if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 1
@@ -353,8 +337,6 @@ def main(argv):
         rel = os.path.relpath(path).replace(os.sep, "/")
         findings.extend(
             lint_file(path, rel, sibling_header_unordered(path)))
-    if json_path:
-        write_findings_json(json_path, "lint_determinism", findings)
     for f in findings:
         print(f)
     if findings:

@@ -1,9 +1,9 @@
 #!/bin/bash
 # Clang thread-safety lane: -Wthread-safety -Wthread-safety-beta as
-# errors over every translation unit in src/.  This is the compiler
-# half of the concurrency-readiness contract (src/common/sharing.hh):
-# SIM_GUARDED_BY / SIM_REQUIRES / SimMutex lower to real capability
-# attributes under clang, so a lock-discipline slip in the genuinely
+# errors over every translation unit in src/.  The annotations in
+# src/common/sharing.hh (SIM_GUARDED_BY / SIM_REQUIRES / SimMutex)
+# lower to real capability attributes under clang, so a
+# lock-discipline slip in the genuinely
 # concurrent subsystems (ThreadPool, ExperimentContext's solo cache)
 # is a build error here, not a TSan roll of the dice.
 #
@@ -51,7 +51,7 @@ done
 
 if [ "$fail" -ne 0 ]; then
     echo "thread_safety: FAILED (fix the lock discipline or annotate" \
-         "the exception in src/common/sharing.hh vocabulary)" >&2
+         "the exception with the src/common/sharing.hh macros)" >&2
     exit 1
 fi
 echo "thread_safety: clean"

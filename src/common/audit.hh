@@ -25,7 +25,6 @@
 #include <cstdint>
 
 #include "common/logging.hh"
-#include "common/sharing.hh"
 
 namespace garibaldi
 {
@@ -49,7 +48,7 @@ namespace detail
  * concurrently after main() set it, and the audit build must itself be
  * clean under the TSan lane it is meant to run in.
  */
-SIM_SHARED_SYNC inline std::atomic<bool> enabled_{false};
+inline std::atomic<bool> enabled_{false};
 } // namespace detail
 
 /** The --audit knob is on (always false when not compiled in). */

@@ -84,10 +84,10 @@ inform(Args &&...args)
  * run.  Macros (not templates) because each *call site* needs its own
  * suppression state; atomics because sweep workers share call sites.
  *
- * Sharing classification: these statics are SIM_SHARED_SYNC in spirit
- * (internally synchronized, relaxed), but markers cannot live inside a
- * backslash-continued macro body, so the waiver is the path exemption
- * in scripts/lint_determinism.py (STATIC_MUTABLE_EXEMPT).  They feed
+ * These statics are mutable but internally synchronized (relaxed
+ * atomics); a waiver comment cannot live inside a backslash-continued
+ * macro body, so the determinism lint exempts this file by path
+ * (STATIC_MUTABLE_EXEMPT in scripts/lint_determinism.py).  They feed
  * stderr rate-limiting only and never reach simulated output.
  *
  * warn_once(...): emit on the first hit at this site, swallow the rest.

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sharing.hh"
 
 namespace garibaldi
 {
@@ -48,8 +47,8 @@ class Pcg32
   private:
     // An Rng stream belongs to exactly one core/workload; sharing one
     // across workers would make draw order schedule-dependent.
-    SIM_PER_WORKER std::uint64_t state;
-    SIM_PER_WORKER std::uint64_t inc;
+    std::uint64_t state;
+    std::uint64_t inc;
 };
 
 /**
@@ -76,11 +75,11 @@ class ZipfSampler
     double h(double x) const;
     double hInv(double x) const;
 
-    SIM_SHARED_CONST std::uint64_t n;
-    SIM_SHARED_CONST double alpha;
-    SIM_SHARED_CONST double hx0;
-    SIM_SHARED_CONST double hxn;
-    SIM_SHARED_CONST double s;
+    std::uint64_t n;
+    double alpha;
+    double hx0;
+    double hxn;
+    double s;
 };
 
 /**

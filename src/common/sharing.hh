@@ -1,40 +1,15 @@
 /**
  * @file
- * Concurrency-readiness sharing annotations: the statically enforced
- * inventory of which simulator state is per-worker, shared-immutable,
- * lock-guarded, or commutatively merged at epoch barriers — the shard
- * boundary contract the intra-sim-parallelism refactor (ROADMAP) will
- * build on.
+ * Lock primitives and Clang thread-safety annotations for the two
+ * genuinely concurrent subsystems: the sweep ThreadPool and
+ * ExperimentContext's solo-IPC cache.
  *
- * Two annotation families share this header:
- *
- *  - Classification markers (SIM_PER_WORKER, SIM_SHARED_CONST,
- *    SIM_SHARED_SYNC, SIM_EPOCH_MERGED) expand to nothing on every
- *    compiler.  They are machine-readable documentation consumed by
- *    scripts/analyze_sharing.py, which hard-fails CI when a mutable
- *    member of a shard-boundary class lacks one and emits
- *    build/sharing_map.json (class -> member -> classification).
- *  - Capability annotations (SIM_CAPABILITY, SIM_GUARDED_BY,
- *    SIM_REQUIRES, SIM_ACQUIRE, ...) lower to Clang thread-safety
- *    attributes under Clang (-Wthread-safety, scripts/thread_safety.sh)
- *    and to nothing elsewhere, so GCC builds are byte-identical.
- *
- * Vocabulary (one marker per mutable member of a boundary class):
- *
- *   SIM_PER_WORKER      confined to a single owner at any instant —
- *                       thread-confined, or address/bank/channel-
- *                       sharded so exactly one worker touches it
- *                       between epoch barriers.
- *   SIM_SHARED_CONST    written only during construction/setup, then
- *                       read-only; safe to share without locks.
- *   SIM_SHARED_SYNC     internally synchronized primitive (atomic,
- *                       condition variable); safe by construction.
- *   SIM_GUARDED_BY(m)   mutable shared state; every access must hold
- *                       capability m (enforced by Clang).
- *   SIM_EPOCH_MERGED(op) per-worker replica merged at epoch barriers
- *                       with commutative op: sum, min, max, or
- *                       histogram_merge (the reduction discipline of
- *                       the commutative-updates paper, PAPERS.md).
+ * The capability macros (SIM_CAPABILITY, SIM_GUARDED_BY, SIM_REQUIRES,
+ * SIM_ACQUIRE, ...) lower to Clang thread-safety attributes under
+ * Clang, where scripts/thread_safety.sh builds every TU with
+ * -Wthread-safety as errors, and to nothing elsewhere, so GCC builds
+ * are unaffected.  Every mutex guarding shared state is a SimMutex so
+ * its SIM_GUARDED_BY members are actually checked.
  */
 
 #ifndef GARIBALDI_COMMON_SHARING_HH
@@ -48,12 +23,6 @@
 #else
 #define SIM_TSA_(x) // no-op outside Clang
 #endif
-
-// ---- classification markers (analyzer-only; always no-ops) -----------
-#define SIM_PER_WORKER
-#define SIM_SHARED_CONST
-#define SIM_SHARED_SYNC
-#define SIM_EPOCH_MERGED(op)
 
 // ---- Clang thread-safety capabilities --------------------------------
 #define SIM_CAPABILITY(x) SIM_TSA_(capability(x))

@@ -21,22 +21,6 @@ windowRuleOf(StatKind kind)
     return WindowRule::Subtract;
 }
 
-MergeOp
-mergeOpOf(StatKind kind)
-{
-    switch (kind) {
-      case StatKind::Counter:
-        return MergeOp::Sum;
-      case StatKind::Gauge:
-        return MergeOp::Last;
-      case StatKind::Rate:
-      case StatKind::Quantile:
-      case StatKind::HistogramSummary:
-        return MergeOp::Recompute;
-    }
-    return MergeOp::Sum;
-}
-
 const char *
 statKindName(StatKind kind)
 {
@@ -53,34 +37,6 @@ statKindName(StatKind kind)
         return "histogram_summary";
     }
     return "counter";
-}
-
-const char *
-windowRuleName(WindowRule rule)
-{
-    switch (rule) {
-      case WindowRule::Subtract:
-        return "subtract";
-      case WindowRule::Recompute:
-        return "recompute";
-      case WindowRule::KeepLast:
-        return "keep-last";
-    }
-    return "subtract";
-}
-
-const char *
-mergeOpName(MergeOp op)
-{
-    switch (op) {
-      case MergeOp::Sum:
-        return "sum";
-      case MergeOp::Recompute:
-        return "recompute";
-      case MergeOp::Last:
-        return "last";
-    }
-    return "sum";
 }
 
 const char *const *
@@ -100,6 +56,22 @@ endsWith(const std::string &name, const std::string &suffix)
     return name.size() >= suffix.size() &&
            name.compare(name.size() - suffix.size(), suffix.size(),
                         suffix) == 0;
+}
+
+/** Glob match where each '*' in @p pat spans any run of characters. */
+bool
+globMatch(const char *pat, const char *s)
+{
+    for (; *pat != '*'; ++pat, ++s) {
+        if (*pat == '\0')
+            return *s == '\0';
+        if (*s == '\0' || *pat != *s)
+            return false;
+    }
+    for (; *s != '\0'; ++s)
+        if (globMatch(pat + 1, s))
+            return true;
+    return globMatch(pat + 1, s);
 }
 
 bool
@@ -148,7 +120,21 @@ StatKindRegistry::resolve(const std::string &name) const
             best_len = dname.size();
         }
     }
-    return best;
+    if (best != nullptr)
+        return best;
+    // Wildcard families ("bank*.accesses") match the whole name or any
+    // '.'-boundary suffix of it, like the literal suffix lookup above.
+    for (const StatDecl &w : wilds) {
+        for (std::size_t at = 0;;) {
+            if (globMatch(w.name, name.c_str() + at))
+                return &w;
+            at = name.find('.', at);
+            if (at == std::string::npos)
+                break;
+            ++at;
+        }
+    }
+    return nullptr;
 }
 
 WindowRule
@@ -168,24 +154,19 @@ StatKindRegistry::isQuantile(const std::string &name) const
     return hasQuantileSuffix(name);
 }
 
-std::size_t
-StatKindRegistry::size() const
-{
-    return decls.size();
-}
-
 StatDomainRegistrar::StatDomainRegistrar(
     const char *producer, std::initializer_list<StatDecl> decls)
 {
     StatKindRegistry &reg = StatKindRegistry::mutableInstance();
     for (const StatDecl &d : decls) {
         std::string name(d.name);
-        if (name.find('*') != std::string::npos)
-            continue; // wildcard families are analyzer-only
+        if (name.find('*') != std::string::npos) {
+            reg.wilds.push_back(d);
+            continue;
+        }
         auto [it, inserted] = reg.decls.emplace(name, d);
         // Duplicate declarations across producers must agree on the
-        // kind; scripts/analyze_stats.py reports the collision with
-        // file/line detail, this is the runtime backstop.
+        // kind: windowing sees one declaration per name.
         if (!inserted && it->second.sem.kind != d.sem.kind)
             fatal("stat '", name, "' declared with conflicting kinds (",
                   statKindName(it->second.sem.kind), " vs ",

@@ -2,23 +2,21 @@
  * @file
  * Declared stat semantics: every name a module exports through
  * StatSet::add carries a machine-readable kind, and each kind fixes
- * both the windowing rule (what Simulator::run / TelemetrySink do at a
- * window boundary) and the cross-worker merge op (what the intra-sim
- * parallelism work will do at an epoch barrier).  The vocabulary:
+ * the windowing rule (what Simulator::run / TelemetrySink do at a
+ * window boundary).  The vocabulary:
  *
  *   counter            monotone event count.       window: subtract
- *                                                  merge:  sum
  *   rate(num, den)     derived ratio of counters.  window: recompute
- *                      num/den are '+'-joined      merge:  recompute
+ *                      num/den are '+'-joined
  *                      sibling counter names,
  *                      resolved under the same
  *                      addAll prefix as the rate.
  *   gauge              point-in-time reading       window: keep-last
- *                      (threshold, color, ...).    merge:  last
+ *                      (threshold, color, ...).
  *   quantile           percentile landmark of a    window: keep-last
- *                      cumulative histogram.       merge:  recompute
+ *                      cumulative histogram.
  *   histogram_summary  derived summary (mean,      window: keep-last
- *                      imbalance) of internal      merge:  recompute
+ *                      imbalance) of internal
  *                      distribution state.
  *
  * Producers declare their exports once, next to the stats() method,
@@ -30,17 +28,15 @@
  *                                        "reads+writes")),
  *       SIM_STAT_GATED("row_hits", counter, "rowModelOn"));
  *
- * SIM_STAT_GATED names the feature-flag token whose conditional must
- * enclose the add() site.  Declared names may contain '*' wildcards
- * for dynamically composed families ("bank*.accesses"); wildcard
- * entries are analyzer-only and never resolve at runtime.
+ * SIM_STAT_GATED names the feature flag under which the stat is
+ * exported; with every knob off it must not appear.  Declared names
+ * may contain '*' wildcards for dynamically composed families
+ * ("bank*.accesses", "lat.*_p95").
  *
- * scripts/analyze_stats.py parses the same blocks cross-TU, hard-fails
- * on undeclared/unexported/mis-kinded stats, and emits
- * build/stat_map.json — the windowing/merge contract the sharding PR
- * consumes.  sim/metrics.cc asks StatKindRegistry (never a hard-coded
- * name list) how to window each entry, so declarations and the
- * windowing discipline cannot drift.
+ * sim/metrics.cc asks StatKindRegistry (never a hard-coded name list)
+ * how to window each entry.  The StatContract test in
+ * tests/sim_test.cc runs every producer with every gate on and off
+ * and checks the declarations against what is actually exported.
  */
 
 #ifndef GARIBALDI_COMMON_STAT_KIND_HH
@@ -50,6 +46,7 @@
 #include <initializer_list>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace garibaldi
 {
@@ -71,19 +68,8 @@ enum class WindowRule
     KeepLast,  //!< report the end-of-window reading
 };
 
-/** How per-worker replicas of a stat combine at an epoch barrier. */
-enum class MergeOp
-{
-    Sum,       //!< commutative addition of replicas
-    Recompute, //!< rebuild from merged raw counters / histograms
-    Last,      //!< designated owner's reading wins
-};
-
 WindowRule windowRuleOf(StatKind kind);
-MergeOp mergeOpOf(StatKind kind);
 const char *statKindName(StatKind kind);
-const char *windowRuleName(WindowRule rule);
-const char *mergeOpName(MergeOp op);
 
 /** Kind plus the rate raws; built via the statkind:: vocabulary. */
 struct StatSemantics
@@ -125,7 +111,9 @@ struct StatDecl
  * const SIM_STATS registrars and read-only afterwards.  Exported names
  * reach windowing with addAll prefixes attached ("llc.hit_rate",
  * "dram.row_hit_rate"), so resolution is exact match first, then the
- * longest declared name that is a '.'-boundary suffix of the query.
+ * longest declared name that is a '.'-boundary suffix of the query,
+ * then the first wildcard declaration matching the query or one of
+ * its '.'-boundary suffixes.
  */
 class StatKindRegistry
 {
@@ -134,7 +122,7 @@ class StatKindRegistry
 
     /**
      * Declaration governing @p name, or nullptr when no declared name
-     * matches.  Wildcard declarations never match here.
+     * matches.
      */
     const StatDecl *resolve(const std::string &name) const;
 
@@ -149,14 +137,17 @@ class StatKindRegistry
     /** True when @p name windows as a percentile gauge. */
     bool isQuantile(const std::string &name) const;
 
-    /** Declared (non-wildcard) name count; tests pin a floor. */
-    std::size_t size() const;
+    /** Declared non-wildcard names, keyed by name. */
+    const std::map<std::string, StatDecl> &declarations() const
+    {
+        return decls;
+    }
 
     /**
      * The canonical quantile suffix set ({_p50, _p90, _p95, _p99} —
      * every landmark QuantileSummary exports), null-terminated.  The
-     * undeclared-name fallback and the stat analyzer's suffix/kind
-     * rule both key off this one table.
+     * undeclared-name fallback and the StatContract suffix/kind check
+     * both key off this one table.
      */
     static const char *const *quantileSuffixes();
 
@@ -165,6 +156,7 @@ class StatKindRegistry
     static StatKindRegistry &mutableInstance();
 
     std::map<std::string, StatDecl> decls;
+    std::vector<StatDecl> wilds;
 };
 
 /** Registers one producer's SIM_STATS block during static init. */

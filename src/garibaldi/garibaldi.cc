@@ -13,11 +13,10 @@ SIM_STATS(Garibaldi,
     SIM_STAT("paired_updates", counter),
     SIM_STAT("unpaired_data", counter),
     SIM_STAT("table_accesses", counter),
-    SIM_STAT_GATED("helper.hits", counter, "helpers"),
-    SIM_STAT_GATED("helper.misses", counter, "helpers"),
-    SIM_STAT_GATED("helper.coverage",
-                   rate("helper.hits", "helper.hits+helper.misses"),
-                   "helpers"));
+    SIM_STAT("helper.hits", counter),
+    SIM_STAT("helper.misses", counter),
+    SIM_STAT("helper.coverage",
+             rate("helper.hits", "helper.hits+helper.misses")));
 
 Garibaldi::Garibaldi(const GaribaldiParams &params_,
                      std::uint32_t num_cores)
@@ -156,19 +155,16 @@ Garibaldi::stats() const
     s.addAll("pair_table.", pairs.stats());
     s.addAll("dppn.", dppn.stats());
     s.addAll("threshold.", thresh.stats());
-    if (!helpers.empty()) {
-        StatSet h0 = helpers[0]->stats();
-        double hits = 0, misses = 0;
-        for (const auto &h : helpers) {
-            // determinism-lint: allow(float-counter) fixed-order sum into the double-typed StatSet surface
-            hits += static_cast<double>(h->hits());
-            misses += static_cast<double>(h->misses());
-        }
-        s.add("helper.hits", hits);
-        s.add("helper.misses", misses);
-        s.add("helper.coverage",
-              hits + misses > 0 ? hits / (hits + misses) : 0.0);
+    double hits = 0, misses = 0;
+    for (const auto &h : helpers) {
+        // determinism-lint: allow(float-counter) fixed-order sum into the double-typed StatSet surface
+        hits += static_cast<double>(h->hits());
+        misses += static_cast<double>(h->misses());
     }
+    s.add("helper.hits", hits);
+    s.add("helper.misses", misses);
+    s.add("helper.coverage",
+          hits + misses > 0 ? hits / (hits + misses) : 0.0);
     return s;
 }
 

@@ -19,7 +19,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "garibaldi/dppn_table.hh"
 #include "garibaldi/helper_table.hh"
@@ -81,23 +80,13 @@ class Garibaldi : public LlcCompanion
     void setTracer(Tracer *t) { tracer = t; }
 
   private:
-    SIM_SHARED_CONST GaribaldiParams params;
-    // The module tables see traffic from every LLC bank, so under the
-    // planned sharding they are shared-mutable with no owner — the one
-    // honest open obligation in the sharing map.  The parallelism PR
-    // must either replicate-and-merge them per worker or serialize
-    // them behind a capability; until then the waivers below keep the
-    // obligation visible in build/sharing_map.json.
-    // sharing-lint: allow(unannotated-boundary-member) cross-bank shared-mutable; parallelism PR must replicate-and-merge or lock
+    GaribaldiParams params;
     DppnTable dppn;
-    // sharing-lint: allow(unannotated-boundary-member) cross-bank shared-mutable; parallelism PR must replicate-and-merge or lock
     PairTable pairs;
-    // sharing-lint: allow(unannotated-boundary-member) cross-bank shared-mutable; parallelism PR must replicate-and-merge or lock
     ThresholdUnit thresh;
-    // sharing-lint: allow(unannotated-boundary-member) cross-bank shared-mutable; parallelism PR must replicate-and-merge or lock
     std::vector<std::unique_ptr<HelperTable>> helpers;
 
-    SIM_SHARED_CONST Tracer *tracer = nullptr;
+    Tracer *tracer = nullptr;
     /**
      * Timeline context for marker events: shouldProtect() and
      * instrMissPrefetch() carry no cycle/core, so observeAccess()
@@ -105,17 +94,15 @@ class Garibaldi : public LlcCompanion
      * made while that very access is being serviced.  Only maintained
      * while a tracer is attached.
      */
-    // sharing-lint: allow(unannotated-boundary-member) last-access context follows the tables' cross-bank sharing; resolved with them
     Cycle lastNow = 0;
-    // sharing-lint: allow(unannotated-boundary-member) last-access context follows the tables' cross-bank sharing; resolved with them
     CoreId lastCore = 0;
 
-    SIM_EPOCH_MERGED(sum) std::uint64_t nTableAccesses = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nProtectionGrants = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nProtectionDenials = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nPrefetchesIssued = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nPairedUpdates = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nUnpairedData = 0;
+    std::uint64_t nTableAccesses = 0;
+    std::uint64_t nProtectionGrants = 0;
+    std::uint64_t nProtectionDenials = 0;
+    std::uint64_t nPrefetchesIssued = 0;
+    std::uint64_t nPairedUpdates = 0;
+    std::uint64_t nUnpairedData = 0;
 };
 
 } // namespace garibaldi

@@ -15,7 +15,6 @@ SIM_STATS(ThresholdUnit,
     SIM_STAT("threshold_ups", counter),
     SIM_STAT("threshold_downs", counter),
     SIM_STAT("last_pdmiss", gauge),
-    // stat-lint: allow(suffix-kind) last_llc_miss_rate is an EMA-smoothed point-in-time reading of the miss rate, not a counter-derived ratio to recompute per window
     SIM_STAT("last_llc_miss_rate", gauge));
 
 ThresholdUnit::ThresholdUnit(const GaribaldiParams &params_,

@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/zeroed_array.hh"
@@ -276,12 +275,8 @@ class Cache
                              std::uint32_t first_invalid);
     std::uint32_t pickPartitionVictim(std::uint32_t set, bool instr_class);
 
-    // Sharing classification (src/common/sharing.hh): a Cache instance
-    // is owned by exactly one worker between epoch barriers — caches
-    // are sharded by level/bank, so everything that mutates per access
-    // is SIM_PER_WORKER; only the aggregate stats merge across shards.
-    SIM_SHARED_CONST CacheParams params;
-    SIM_SHARED_CONST std::uint32_t nSets;
+    CacheParams params;
+    std::uint32_t nSets;
     /**
      * SoA frame metadata, indexed by frameIndex().  probeTags holds the
      * line number | kValidTag, or 0 for an invalid frame: the per-access
@@ -289,28 +284,28 @@ class Cache
      * host cache lines per set).  lineState holds the dirty / instr /
      * prefetched bits, one byte per frame, read on hits and evictions.
      */
-    SIM_PER_WORKER ZeroedArray<Addr> probeTags;
-    SIM_PER_WORKER ZeroedArray<std::uint8_t> lineState;
+    ZeroedArray<Addr> probeTags;
+    ZeroedArray<std::uint8_t> lineState;
     /** Per-frame LRU stamps; allocated only with way partitioning, the
      *  one victim path that reads them. */
-    SIM_PER_WORKER ZeroedArray<Tick> lastUse;
-    SIM_PER_WORKER std::unique_ptr<ReplacementPolicy> repl;
+    ZeroedArray<Tick> lastUse;
+    std::unique_ptr<ReplacementPolicy> repl;
     /** Devirtualized hot-path view of *repl (same object). */
-    SIM_PER_WORKER PolicyDispatch pol;
-    SIM_EPOCH_MERGED(sum) CacheStats stat;
-    SIM_SHARED_CONST LlcCompanion *companion = nullptr;
-    SIM_PER_WORKER Cycle qbsCycles = 0;
-    SIM_PER_WORKER Tick useTick = 0;
-    SIM_PER_WORKER PendingTable pending;
-    SIM_PER_WORKER FlatLineSet oracleSeen;
+    PolicyDispatch pol;
+    CacheStats stat;
+    LlcCompanion *companion = nullptr;
+    Cycle qbsCycles = 0;
+    Tick useTick = 0;
+    PendingTable pending;
+    FlatLineSet oracleSeen;
     /** Per-slot busy-until cycles; sized at construction (empty when
      *  the contention model is off) so the demand path never allocates. */
-    SIM_PER_WORKER std::vector<Cycle> tagBusyUntil;
-    SIM_PER_WORKER std::vector<Cycle> dataBusyUntil;
+    std::vector<Cycle> tagBusyUntil;
+    std::vector<Cycle> dataBusyUntil;
     /** Newest *issue time* seen by reserveSlot (not reservation-start
      *  time, which fills schedule in the future); requests issued more
      *  than kBackfillSlack behind it backfill past capacity. */
-    SIM_PER_WORKER Cycle lastArrival = 0;
+    Cycle lastArrival = 0;
 };
 
 } // namespace garibaldi

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/flat_tables.hh"
@@ -75,12 +74,11 @@ class Directory
         CohState state = CohState::Invalid;
     };
 
-    SIM_SHARED_CONST std::uint32_t numClusters;
-    /** Address-sharded: one worker owns a line's entry at a time. */
-    SIM_PER_WORKER FlatLineMap<Entry> dir;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nInvalidations = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nUpgrades = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nSharedFills = 0;
+    std::uint32_t numClusters;
+    FlatLineMap<Entry> dir;
+    std::uint64_t nInvalidations = 0;
+    std::uint64_t nUpgrades = 0;
+    std::uint64_t nSharedFills = 0;
 };
 
 } // namespace garibaldi

@@ -315,9 +315,6 @@ Dram::stats() const
         static const char *const kLegName[3] = {"hit", "miss",
                                                 "conflict"};
         for (int leg = 0; leg < 3; ++leg) {
-            // The "row_" prefix stays literal at every add site so
-            // the stat lint's name skeletons ("row_*_lat_cycles")
-            // can't collide with the timing-gated read_lat stats.
             std::string p = kLegName[leg];
             s.add("row_" + p + "_reads",
                   static_cast<double>(legReads[leg]));

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/histogram.hh"
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -192,38 +191,34 @@ class Dram
     /** First cycle at or after @p t outside every refresh window. */
     Cycle afterRefresh(Cycle t) const;
 
-    // Sharing classification: the per-channel books are channel-sharded
-    // (one worker owns a channel between epoch barriers), the counters
-    // and histograms are commutative epoch merges.
-    SIM_SHARED_CONST DramParams params;
+    DramParams params;
     /** Per-channel slot busy-until, flattened [channel * ports]. */
-    SIM_PER_WORKER std::vector<Cycle> busyUntil;
+    std::vector<Cycle> busyUntil;
     /** Per-channel newest arrival seen (the backfill ordering key). */
-    SIM_PER_WORKER std::vector<Cycle> lastArrival;
+    std::vector<Cycle> lastArrival;
     /** Per-channel open row (kNoOpenRow = precharged). */
-    SIM_PER_WORKER std::vector<std::uint64_t> openRow;
+    std::vector<std::uint64_t> openRow;
     /** Per-channel last bus direction (-1 none, 0 read, 1 write). */
-    SIM_PER_WORKER std::vector<std::int8_t> busDir;
+    std::vector<std::int8_t> busDir;
     /** Per-channel newest refresh epoch observed (closes the row). */
-    SIM_PER_WORKER std::vector<Cycle> refreshEpoch;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nReads = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nWrites = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t queuedCycles = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nBackfills = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t backfillQueuedCycles = 0;
+    std::vector<Cycle> refreshEpoch;
+    std::uint64_t nReads = 0;
+    std::uint64_t nWrites = 0;
+    std::uint64_t queuedCycles = 0;
+    std::uint64_t nBackfills = 0;
+    std::uint64_t backfillQueuedCycles = 0;
     /** Row-leg outcome counts over ALL accesses (reads + writes). */
-    SIM_EPOCH_MERGED(sum) std::uint64_t rowCount[3] = {0, 0, 0};
+    std::uint64_t rowCount[3] = {0, 0, 0};
     /** Reads per leg and their summed device-leg latency. */
-    SIM_EPOCH_MERGED(sum) std::uint64_t legReads[3] = {0, 0, 0};
-    SIM_EPOCH_MERGED(sum) std::uint64_t legReadCycles[3] = {0, 0, 0};
+    std::uint64_t legReads[3] = {0, 0, 0};
+    std::uint64_t legReadCycles[3] = {0, 0, 0};
     /** Summed full (queue + device) latency over all reads. */
-    SIM_EPOCH_MERGED(sum) std::uint64_t readLatCycles = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nTurnarounds = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t turnaroundStallCycles = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t nRefreshBlocked = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t refreshStallCycles = 0;
-    SIM_EPOCH_MERGED(histogram_merge) Histogram queueDelay{8, 64};
-    SIM_EPOCH_MERGED(histogram_merge)
+    std::uint64_t readLatCycles = 0;
+    std::uint64_t nTurnarounds = 0;
+    std::uint64_t turnaroundStallCycles = 0;
+    std::uint64_t nRefreshBlocked = 0;
+    std::uint64_t refreshStallCycles = 0;
+    Histogram queueDelay{8, 64};
     Histogram legLatency[3] = {{16, 32}, {16, 32}, {16, 32}};
 };
 

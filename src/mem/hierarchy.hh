@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/sharing.hh"
 #include "mem/cache.hh"
 #include "mem/coherence.hh"
 #include "mem/dram.hh"
@@ -165,32 +164,26 @@ class MemoryHierarchy
                             Addr line_addr, Cycle now);
     bool instrIsCritical(Addr line_addr);
 
-    // Sharing classification: the component *handles* are wired at
-    // construction and never reseated (shared-const); the mutable state
-    // lives inside the pointed-to components, which carry their own
-    // classifications.  Scratch buffers and the criticality table are
-    // touched only by the worker driving this hierarchy's transaction.
-    SIM_SHARED_CONST HierarchyParams params;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<Cache>> l1is;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<Cache>> l1ds;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<Cache>> l2s;
-    SIM_SHARED_CONST std::unique_ptr<LlcBankSet> llcSet;
-    SIM_SHARED_CONST std::unique_ptr<Dram> dramModel;
-    SIM_SHARED_CONST std::unique_ptr<Directory> dir;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<NextLinePrefetcher>> l1dPf;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<IspyPrefetcher>> l1iPf;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<GhbPrefetcher>> l2Pf;
-    SIM_SHARED_CONST LlcCompanion *companion = nullptr;
-    SIM_SHARED_CONST Tracer *tracer = nullptr;
-    SIM_SHARED_CONST std::vector<LlcEventListener *> llcListeners;
-    SIM_PER_WORKER std::vector<Addr> pfScratch; // prefetch scratch
-    SIM_PER_WORKER std::vector<std::uint32_t>
-        invalScratch; // directory sharer lists
+    HierarchyParams params;
+    std::vector<std::unique_ptr<Cache>> l1is;
+    std::vector<std::unique_ptr<Cache>> l1ds;
+    std::vector<std::unique_ptr<Cache>> l2s;
+    std::unique_ptr<LlcBankSet> llcSet;
+    std::unique_ptr<Dram> dramModel;
+    std::unique_ptr<Directory> dir;
+    std::vector<std::unique_ptr<NextLinePrefetcher>> l1dPf;
+    std::vector<std::unique_ptr<IspyPrefetcher>> l1iPf;
+    std::vector<std::unique_ptr<GhbPrefetcher>> l2Pf;
+    LlcCompanion *companion = nullptr;
+    Tracer *tracer = nullptr;
+    std::vector<LlcEventListener *> llcListeners;
+    std::vector<Addr> pfScratch; // prefetch scratch
+    std::vector<std::uint32_t> invalScratch; // directory sharer lists
     /** Instruction-criticality tracker; built only when the LLC's
      *  critical-only partition filter, its one reader, is on. */
-    SIM_PER_WORKER std::unique_ptr<DecayingCounterTable> instrCrit;
-    SIM_EPOCH_MERGED(sum) std::uint64_t mshrStalls = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t coherencePenaltyCycles = 0;
+    std::unique_ptr<DecayingCounterTable> instrCrit;
+    std::uint64_t mshrStalls = 0;
+    std::uint64_t coherencePenaltyCycles = 0;
 };
 
 } // namespace garibaldi

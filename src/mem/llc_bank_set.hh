@@ -15,7 +15,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/sharing.hh"
 #include "mem/cache.hh"
 
 namespace garibaldi
@@ -126,12 +125,9 @@ class LlcBankSet
     CacheStats stats() const;
 
   private:
-    // The bank *structure* is fixed at construction (shared-const);
-    // the pointed-to Cache objects are the bank shards themselves,
-    // each owned by one worker (see Cache's member classification).
-    SIM_SHARED_CONST std::vector<std::unique_ptr<Cache>> banks_;
-    SIM_SHARED_CONST std::uint32_t interleaveShift;
-    SIM_SHARED_CONST Addr bankMask;
+    std::vector<std::unique_ptr<Cache>> banks_;
+    std::uint32_t interleaveShift;
+    Addr bankMask;
 };
 
 } // namespace garibaldi

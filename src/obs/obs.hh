@@ -13,7 +13,6 @@
 #include <memory>
 #include <string>
 
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "obs/obs_config.hh"
 #include "obs/telemetry.hh"
@@ -56,11 +55,9 @@ class ObsSubsystem
     const ObsConfig &config() const { return cfg; }
 
   private:
-    // Handles are wired at construction; the pointed-to tracer/sink
-    // carry their own member classifications.
-    SIM_SHARED_CONST ObsConfig cfg;
-    SIM_SHARED_CONST std::unique_ptr<Tracer> tracer_;
-    SIM_SHARED_CONST std::unique_ptr<TelemetrySink> telemetry_;
+    ObsConfig cfg;
+    std::unique_ptr<Tracer> tracer_;
+    std::unique_ptr<TelemetrySink> telemetry_;
 };
 
 /**

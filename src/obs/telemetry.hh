@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "obs/obs_config.hh"
@@ -71,19 +70,16 @@ class TelemetrySink
     void emit(Cycle end, const StatSet &mem, const StatSet &gari,
               std::uint64_t instr);
 
-    // Sharing classification: window emission is inherently serial
-    // (each window chains off its predecessor), so the whole sink is
-    // owned by the one worker that crosses the window boundary.
-    SIM_SHARED_CONST Cycle window;
-    SIM_SHARED_CONST std::uint32_t cores;
-    SIM_PER_WORKER bool armed = false;
-    SIM_PER_WORKER Cycle winStart = 0;
-    SIM_PER_WORKER Cycle due = 0;
-    SIM_PER_WORKER StatSet memPrev;
-    SIM_PER_WORKER StatSet gariPrev;
-    SIM_PER_WORKER std::uint64_t instrPrev = 0;
-    SIM_PER_WORKER std::string out;
-    SIM_PER_WORKER std::uint64_t nWindows = 0;
+    Cycle window;
+    std::uint32_t cores;
+    bool armed = false;
+    Cycle winStart = 0;
+    Cycle due = 0;
+    StatSet memPrev;
+    StatSet gariPrev;
+    std::uint64_t instrPrev = 0;
+    std::string out;
+    std::uint64_t nWindows = 0;
     /**
      * Audit books (common/audit.hh): the end of the last emitted
      * window, so the chaining invariant (every window starts exactly
@@ -91,7 +87,7 @@ class TelemetrySink
      * the JSONL into disjoint streams) and instruction conservation
      * (retired counts never run backwards) can be checked per emit.
      */
-    SIM_PER_WORKER Cycle auditPrevEnd = 0;
+    Cycle auditPrevEnd = 0;
 };
 
 } // namespace garibaldi

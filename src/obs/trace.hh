@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/histogram.hh"
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "mem/transaction.hh"
@@ -149,24 +148,17 @@ class Tracer
 
     void capture(const Transaction &txn);
 
-    // Sharing classification: the per-core rings and gates are sharded
-    // by the core driving them; only the capture totals and latency
-    // histograms merge across shards at epoch barriers.
-    SIM_SHARED_CONST std::uint64_t sampleN;
-    SIM_SHARED_CONST std::uint64_t ringCap;
-    SIM_PER_WORKER bool measuring_ = false;
-    SIM_PER_WORKER std::vector<std::uint64_t>
-        seen; //!< per-core transaction counter
-    SIM_PER_WORKER std::vector<Ring> rings; //!< per-core record rings
-    SIM_PER_WORKER std::vector<MarkerRecord>
-        markerRing; //!< shared marker ring
-    SIM_PER_WORKER std::uint64_t markerCount = 0;
-    SIM_PER_WORKER std::uint64_t
-        markerSeen[3] = {0, 0, 0}; //!< per-kind 1-in-N gates
-    SIM_EPOCH_MERGED(sum) std::uint64_t nCaptured = 0;
+    std::uint64_t sampleN;
+    std::uint64_t ringCap;
+    bool measuring_ = false;
+    std::vector<std::uint64_t> seen; //!< per-core transaction counter
+    std::vector<Ring> rings; //!< per-core record rings
+    std::vector<MarkerRecord> markerRing; //!< shared marker ring
+    std::uint64_t markerCount = 0;
+    std::uint64_t markerSeen[3] = {0, 0, 0}; //!< per-kind 1-in-N gates
+    std::uint64_t nCaptured = 0;
     /** Flattened [class][leg] latency histograms over the samples. */
-    SIM_EPOCH_MERGED(histogram_merge) std::vector<Histogram> legHist;
-    SIM_EPOCH_MERGED(sum)
+    std::vector<Histogram> legHist;
     std::uint64_t classCount[kNumClasses] = {0, 0, 0, 0};
 
     Histogram &

@@ -71,9 +71,9 @@ class ExperimentContext
     std::uint64_t detailedInstructions() const { return detailed; }
 
   private:
-    SIM_SHARED_CONST SystemConfig base;
-    SIM_SHARED_CONST std::uint64_t warmup;
-    SIM_SHARED_CONST std::uint64_t detailed;
+    SystemConfig base;
+    std::uint64_t warmup;
+    std::uint64_t detailed;
     mutable SimMutex soloMutex;
     mutable std::map<std::string, double>
         soloCache SIM_GUARDED_BY(soloMutex);

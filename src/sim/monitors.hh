@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/histogram.hh"
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "mem/flat_tables.hh"
 #include "mem/hierarchy.hh"
@@ -58,17 +57,17 @@ class ReuseDistanceMonitor : public LlcEventListener
     StatSet stats() const;
 
   private:
-    SIM_SHARED_CONST std::uint32_t numSets;
-    SIM_SHARED_CONST unsigned sampleShift;
+    std::uint32_t numSets;
+    unsigned sampleShift;
     /**
      * Per sampled set: LRU stack of line addresses (front = MRU).
      * Dense, indexed by set >> sampleShift — only sets whose low
      * sampleShift bits are zero are observed, so the mapping is a
      * bijection onto [0, numSets >> sampleShift).
      */
-    SIM_PER_WORKER std::vector<std::vector<Addr>> stacks; // set-sharded
-    SIM_EPOCH_MERGED(histogram_merge) Histogram instrDist{1, 256};
-    SIM_EPOCH_MERGED(histogram_merge) Histogram dataDist{1, 256};
+    std::vector<std::vector<Addr>> stacks;
+    Histogram instrDist{1, 256};
+    Histogram dataDist{1, 256};
 };
 
 /** Per-line access frequency split by class. */
@@ -94,10 +93,10 @@ class LineFrequencyMonitor : public LlcEventListener
 
   private:
     /** Keyed by line number (open-addressed; no per-node allocation). */
-    SIM_PER_WORKER FlatLineMap<std::uint32_t> instrCounts; // addr-sharded
-    SIM_PER_WORKER FlatLineMap<std::uint32_t> dataCounts;  // addr-sharded
-    SIM_EPOCH_MERGED(sum) std::uint64_t instrAccesses = 0;
-    SIM_EPOCH_MERGED(sum) std::uint64_t dataAccesses = 0;
+    FlatLineMap<std::uint32_t> instrCounts;
+    FlatLineMap<std::uint32_t> dataCounts;
+    std::uint64_t instrAccesses = 0;
+    std::uint64_t dataAccesses = 0;
 };
 
 /** Fig. 4(c): instruction miss rate conditioned on paired-data hotness. */
@@ -145,9 +144,9 @@ class PairingMonitor : public LlcEventListener
     };
 
     /** Keyed by instruction line number (PC-derived). */
-    SIM_PER_WORKER FlatLineMap<InstrLineStats> instrLines; // addr-sharded
+    FlatLineMap<InstrLineStats> instrLines;
     /** Data line number -> consecutive-distinct sharer sketch. */
-    SIM_PER_WORKER FlatLineMap<SharerEntry> dataSharers; // addr-sharded
+    FlatLineMap<SharerEntry> dataSharers;
 };
 
 /**
@@ -203,9 +202,9 @@ class BankQueueMonitor : public LlcEventListener
         std::uint64_t queueCycles = 0;
     };
 
-    SIM_PER_WORKER std::vector<BankCounters> banks; // bank-sharded
-    SIM_SHARED_CONST std::uint32_t interleaveShift;
-    SIM_SHARED_CONST Addr bankMask;
+    std::vector<BankCounters> banks;
+    std::uint32_t interleaveShift;
+    Addr bankMask;
 };
 
 } // namespace garibaldi

@@ -12,7 +12,6 @@
 
 #include <vector>
 
-#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "core/cpi_stack.hh"
 #include "sim/system.hh"
@@ -83,7 +82,7 @@ class Simulator
     std::uint64_t instructionsRetired() const;
 
     /** The driven system: one simulator, one worker, one system. */
-    SIM_PER_WORKER System &sys;
+    System &sys;
 };
 
 } // namespace garibaldi

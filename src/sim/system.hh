@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/sharing.hh"
 #include "core/core_model.hh"
 #include "garibaldi/garibaldi.hh"
 #include "mem/hierarchy.hh"
@@ -43,16 +42,13 @@ class System
     const Mix &mix() const { return mix_; }
 
   private:
-    // The system's *structure* is immutable once built; all run-time
-    // mutation happens inside the pointed-to components, each of which
-    // carries its own sharing classification.
-    SIM_SHARED_CONST SystemConfig config_;
-    SIM_SHARED_CONST Mix mix_;
-    SIM_SHARED_CONST std::unique_ptr<MemoryHierarchy> mem;
-    SIM_SHARED_CONST std::unique_ptr<Garibaldi> gari;
-    SIM_SHARED_CONST std::unique_ptr<ObsSubsystem> obsSub;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<SynthWorkload>> streams;
-    SIM_SHARED_CONST std::vector<std::unique_ptr<CoreModel>> cores;
+    SystemConfig config_;
+    Mix mix_;
+    std::unique_ptr<MemoryHierarchy> mem;
+    std::unique_ptr<Garibaldi> gari;
+    std::unique_ptr<ObsSubsystem> obsSub;
+    std::vector<std::unique_ptr<SynthWorkload>> streams;
+    std::vector<std::unique_ptr<CoreModel>> cores;
 };
 
 } // namespace garibaldi

@@ -79,15 +79,15 @@ class ThreadPool
         return queueHead == queue.size() && inFlight == 0;
     }
 
-    SIM_SHARED_CONST std::vector<std::thread> workers;
+    std::vector<std::thread> workers;
     // FIFO via head index
     std::vector<std::function<void()>> queue SIM_GUARDED_BY(mtx);
     std::size_t queueHead SIM_GUARDED_BY(mtx) = 0;
     std::size_t inFlight SIM_GUARDED_BY(mtx) = 0;
     bool stopping SIM_GUARDED_BY(mtx) = false;
     SimMutex mtx;
-    SIM_SHARED_SYNC std::condition_variable cvTask; //!< workers await tasks
-    SIM_SHARED_SYNC std::condition_variable cvIdle; //!< wait() awaits drain
+    std::condition_variable cvTask; //!< workers await tasks
+    std::condition_variable cvIdle; //!< wait() awaits drain
 };
 
 } // namespace garibaldi

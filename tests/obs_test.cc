@@ -424,7 +424,6 @@ TEST(ObsEndToEnd, TelemetryWindowInvariants)
         prev_end = rec.get("end").asNumber();
         instr_sum += rec.get("instructions").asNumber();
         EXPECT_TRUE(rec.has("ipc"));
-        // stat-refs: allow(llc_hit_rate) telemetry JSONL field name, not a StatSet stat
         EXPECT_TRUE(rec.has("llc_hit_rate"));
         ++n;
     }

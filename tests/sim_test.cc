@@ -2,10 +2,16 @@
  * @file
  * Simulation-layer tests: system assembly, simulator determinism and
  * window accounting, metrics, the energy model, the characterization
- * monitors, and the hierarchy's end-to-end behavior.
+ * monitors, the hierarchy's end-to-end behavior, and the stat contract
+ * (declared stat kinds against what the producers export).
  */
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/stat_kind.hh"
 #include "garibaldi/garibaldi.hh"
@@ -362,7 +368,7 @@ TEST(StatKindRegistry, ResolvesPrefixedAndSuffixNestedNames)
     EXPECT_EQ(std::string(d->name), "row_hit_rate");
 
     // The longest declared suffix wins: "garibaldi.helper.coverage"
-    // must find "helper.coverage" (Garibaldi's gated rate), not a
+    // must find "helper.coverage" (Garibaldi's rate), not a
     // bare "coverage" declaration.
     d = reg.resolve("garibaldi.helper.coverage");
     ASSERT_NE(d, nullptr);
@@ -382,6 +388,177 @@ TEST(StatKindRegistry, ResolvesPrefixedAndSuffixNestedNames)
     EXPECT_EQ(reg.windowRule("dram.reads"), WindowRule::Subtract);
     EXPECT_EQ(reg.windowRule("dram.avg_queue_delay"),
               WindowRule::Recompute);
+
+    // Dynamically composed families resolve too, and window exactly as
+    // they did while wildcard declarations were skipped: a per-bank
+    // monitor counter still finds its literal suffix, and a sampled
+    // latency percentile reaches its "lat.*_p95" quantile declaration.
+    d = reg.resolve("bank3.queued_accesses");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(std::string(d->name), "queued_accesses");
+    EXPECT_EQ(reg.windowRule("bank3.queued_accesses"),
+              WindowRule::Subtract);
+    d = reg.resolve("obs.lat.pf_instr.dram_p95");
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(std::string(d->name), "lat.*_p95");
+    EXPECT_EQ(reg.windowRule("obs.lat.pf_instr.dram_p95"),
+              WindowRule::KeepLast);
+}
+
+// --------------------------------------------------------------------
+// Stat contract: the SIM_STATS declarations checked against what every
+// producer actually exports, knobs off and with every gate on.
+// --------------------------------------------------------------------
+
+/** Names every stat producer exports after one short run of @p cfg. */
+std::set<std::string>
+exportedStatNames(const SystemConfig &cfg, bool with_monitors)
+{
+    System sys(cfg, randomServerMix(7, cfg.numCores));
+    ReuseDistanceMonitor reuse(sys.hierarchy().llc().totalSets(), 0);
+    LineFrequencyMonitor freq;
+    PairingMonitor pairing;
+    BankQueueMonitor bank_queues(cfg.hierarchyParams());
+    if (with_monitors) {
+        sys.hierarchy().addLlcListener(&reuse);
+        sys.hierarchy().addLlcListener(&freq);
+        sys.hierarchy().addLlcListener(&pairing);
+        sys.hierarchy().addLlcListener(&bank_queues);
+    }
+    SimResult r = Simulator(sys).run(2000, 5000);
+
+    std::vector<StatSet> sets = {
+        r.mem, r.garibaldi, r.tlb, r.obs,
+        computeEnergy(r, cfg).toStatSet(),
+        sys.hierarchy().directory().stats(),
+        sys.core(0).branchPredictor().stats()};
+    if (with_monitors) {
+        sets.push_back(reuse.stats());
+        sets.push_back(freq.stats());
+        sets.push_back(pairing.stats());
+        sets.push_back(bank_queues.stats());
+    }
+    if (sys.garibaldi())
+        sets.push_back(sys.garibaldi()->helperTable(0).stats());
+
+    std::set<std::string> names;
+    for (const StatSet &s : sets)
+        for (const auto &[name, value] : s.entries())
+            names.insert(name);
+    return names;
+}
+
+/** Telemetry output of the all-gates-on run; removed after it. */
+const char *const kContractTelemetry = "stat_contract.telemetry.jsonl";
+
+/** Every gate a SIM_STAT_GATED declaration names, switched on. */
+SystemConfig
+allGatesOnConfig()
+{
+    SystemConfig cfg = tinyConfig(2);
+    cfg.llcBanks = 2;
+    cfg.llcBankServiceCycles = 4; // contention model
+    cfg.dram.rowBits = 7;
+    cfg.dram.turnaroundCycles = 12;
+    cfg.dram.refreshIntervalCycles = 11700;
+    cfg.dram.refreshPenaltyCycles = 885;
+    cfg.dramFedLlcMshrs = true;
+    cfg.garibaldiEnabled = true;
+    cfg.obs.traceSample = 4; // histograms only: no trace file
+    cfg.obs.telemetryWindow = 5000;
+    cfg.obs.telemetryOut = kContractTelemetry;
+    return cfg;
+}
+
+bool
+endsWith(const std::string &s, const std::string &suffix)
+{
+    return s.size() >= suffix.size() &&
+           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+std::vector<std::string>
+splitRaws(const char *joined)
+{
+    std::vector<std::string> raws;
+    std::string cur;
+    for (const char *p = joined; *p != '\0'; ++p) {
+        if (*p == '+') {
+            raws.push_back(cur);
+            cur.clear();
+        } else {
+            cur += *p;
+        }
+    }
+    raws.push_back(cur);
+    return raws;
+}
+
+TEST(StatContract, DeclarationsMatchWhatProducersExport)
+{
+    const StatKindRegistry &reg = StatKindRegistry::instance();
+    std::set<std::string> off = exportedStatNames(tinyConfig(2), false);
+    std::set<std::string> on = exportedStatNames(allGatesOnConfig(), true);
+    std::remove(kContractTelemetry);
+    std::set<std::string> all = off;
+    all.insert(on.begin(), on.end());
+
+    // (a) Every exported name resolves to a declaration, so windowing
+    // never falls back to guessing from the spelling.
+    for (const std::string &name : all)
+        EXPECT_NE(reg.resolve(name), nullptr) << "undeclared: " << name;
+
+    // (b) With every gate on, every literal declaration is exported:
+    // a declaration nothing emits is stale.
+    std::set<const StatDecl *> emitted;
+    for (const std::string &name : on)
+        emitted.insert(reg.resolve(name));
+    for (const auto &[name, decl] : reg.declarations())
+        EXPECT_TRUE(emitted.count(&decl)) << "never exported: " << name;
+
+    // (c) With every knob off, no gated stat appears.
+    for (const std::string &name : off) {
+        const StatDecl *d = reg.resolve(name);
+        if (d != nullptr) {
+            EXPECT_EQ(d->gate, nullptr)
+                << name << " exported with its gate '" << d->gate
+                << "' off";
+        }
+    }
+
+    // (d) The spelling agrees with the kind: *_rate and avg_* are
+    // rates (recomputed per window), quantile suffixes are quantiles
+    // (kept, never differenced).
+    // threshold.last_llc_miss_rate is an EMA-smoothed point-in-time
+    // reading of the miss rate, not a counter-derived ratio to
+    // recompute per window, so it stays a gauge.
+    const std::set<std::string> kSuffixKindExempt = {
+        "threshold.last_llc_miss_rate"};
+    for (const std::string &name : all) {
+        const StatDecl *d = reg.resolve(name);
+        if (d == nullptr || kSuffixKindExempt.count(name))
+            continue;
+        std::string leaf = name.substr(name.rfind('.') + 1);
+        if (endsWith(leaf, "_rate") || leaf.rfind("avg_", 0) == 0) {
+            EXPECT_EQ(d->sem.kind, StatKind::Rate) << name;
+        }
+        for (const char *const *sfx = StatKindRegistry::quantileSuffixes();
+             *sfx != nullptr; ++sfx) {
+            if (endsWith(leaf, *sfx)) {
+                EXPECT_EQ(d->sem.kind, StatKind::Quantile) << name;
+            }
+        }
+    }
+
+    // (e) Every rate's raws are declared names.
+    for (const auto &[name, decl] : reg.declarations()) {
+        if (decl.sem.kind != StatKind::Rate)
+            continue;
+        for (const char *joined : {decl.sem.num, decl.sem.den})
+            for (const std::string &raw : splitRaws(joined))
+                EXPECT_TRUE(reg.declarations().count(raw))
+                    << name << " reads undeclared raw '" << raw << "'";
+    }
 }
 
 TEST(LineFrequencyMonitor, CountsPerLineAndRatio)
