@@ -8,11 +8,9 @@
  * runs and build revisions.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <vector>
 
 #include "common/rng.hh"
 #include "mem/hierarchy.hh"
@@ -85,25 +83,11 @@ measure(std::uint32_t cores, std::uint32_t llc_banks,
     MemoryHierarchy mem(h);
     Pcg32 rng(42, 7);
 
-    // Accesses are generated into a chunk and handed to the hierarchy
-    // in one submitBatch call — same access/now sequence as the
-    // per-access loop (submitBatch is pinned byte-identical to it), one
-    // hierarchy crossing per chunk.
-    constexpr std::size_t kBatch = 64;
-    std::vector<TimedAccess> batch(kBatch);
     Cycle now = 0;
     auto drive = [&](std::uint64_t total) {
-        for (std::uint64_t i = 0; i < total;) {
-            std::size_t n = static_cast<std::size_t>(
-                std::min<std::uint64_t>(kBatch, total - i));
-            for (std::size_t j = 0; j < n; ++j) {
-                batch[j].acc = nextAccess(
-                    rng, static_cast<CoreId>((i + j) % cores));
-                batch[j].now = now;
-                now += 2;
-            }
-            mem.submitBatch(batch.data(), n);
-            i += n;
+        for (std::uint64_t i = 0; i < total; ++i) {
+            mem.access(nextAccess(rng, static_cast<CoreId>(i % cores)), now);
+            now += 2;
         }
     };
 

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Tier-1 verify with warnings promoted to errors, the hot-path
-# throughput microbenchmark, and the sweep-engine determinism +
-# wall-clock checks.  Emits BENCH_micro_pipeline.json (accesses/sec)
-# and BENCH_sweep.json (parallel speedup) so the perf trajectory is
-# tracked across PRs.  Usage: scripts/ci.sh [build-dir]
+# Tier-1 verify with warnings promoted to errors, the benchmark smoke
+# run, the correctness gates (determinism lint, clang-tidy, thread
+# safety, sanitizer lanes), every --jobs 1 vs 8 byte-identity diff, the
+# golden and --audit diffs, and the hot-path throughput floor.  Writes
+# BENCH_micro_pipeline.json (read back by the next run's regression
+# warning), BENCH_micro_structures.json and BENCH_correctness.json
+# into the build tree.  Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -77,12 +79,8 @@ esac
 # serial path against itself.)
 echo "== sweep determinism (bank_sensitivity bytes, --jobs 1 vs 8) =="
 bank_args=(--warmup 10000 --instr 20000 --mixes 1)
-t1_start=$(date +%s.%N)
 "$build/bank_sensitivity" "${bank_args[@]}" --jobs 1 > "$build/bank_j1.txt"
-t1_end=$(date +%s.%N)
-tn_start=$(date +%s.%N)
 "$build/bank_sensitivity" "${bank_args[@]}" --jobs 8 > "$build/bank_j8.txt"
-tn_end=$(date +%s.%N)
 if ! diff -q "$build/bank_j1.txt" "$build/bank_j8.txt" > /dev/null; then
   echo "FAIL: bank_sensitivity output differs between --jobs 1 and --jobs 8"
   diff "$build/bank_j1.txt" "$build/bank_j8.txt" | head -20
@@ -90,31 +88,9 @@ if ! diff -q "$build/bank_j1.txt" "$build/bank_j8.txt" > /dev/null; then
 fi
 echo "bank_sensitivity: --jobs 1 vs --jobs 8 byte-identical"
 
-# Wall-clock speedup is only meaningful on multi-core hosts; the JSON
-# records host_cpus so 1-CPU results read as the no-op they are.
-t1=$(echo "$t1_end $t1_start" | awk '{printf "%.3f", $1 - $2}')
-tn=$(echo "$tn_end $tn_start" | awk '{printf "%.3f", $1 - $2}')
-speedup=$(echo "$t1 $tn" | awk '{printf "%.3f", $1 / $2}')
-cat > "$build/BENCH_sweep.json" <<EOF
-{
-  "bench": "bank_sensitivity",
-  "workers": 8,
-  "host_cpus": $jobs,
-  "serial_seconds": $t1,
-  "parallel_seconds": $tn,
-  "speedup": $speedup
-}
-EOF
-echo "sweep wall-clock: ${t1}s serial vs ${tn}s with 8 workers on $jobs cpu(s) (speedup ${speedup}x)"
-cat "$build/BENCH_sweep.json"
-
 # Contention mode: the per-bank queuing model must keep the same
-# byte-identity guarantee across --jobs, and its headline curve (avg
-# LLC queuing delay falling as banks grow) is archived as a bench
-# artifact for trend tracking.
+# byte-identity guarantee across --jobs.
 echo "== bank contention (per-bank queuing model, --jobs 1 vs 8) =="
-# --svc/--ports passed explicitly so the artifact's config label stays
-# truthful even if the bench's defaults change.
 cont_args=(--warmup 10000 --instr 20000 --mixes 1 --contention --svc 4 --ports 1)
 "$build/bank_sensitivity" "${cont_args[@]}" --jobs 1 > "$build/bank_cont_j1.txt"
 "$build/bank_sensitivity" "${cont_args[@]}" --jobs 8 > "$build/bank_cont_j8.txt"
@@ -125,28 +101,9 @@ if ! diff -q "$build/bank_cont_j1.txt" "$build/bank_cont_j8.txt" > /dev/null; th
 fi
 echo "bank_sensitivity --contention: --jobs 1 vs --jobs 8 byte-identical"
 
-# Table columns: cores banks shift geomean_metric vs_monolithic
-# avg_queue_delay; keep the cores=16 shift=0 curve.
-banks_list=$(awk '$1 == 16 && $3 == 0 {printf "%s%s", sep, $2; sep=", "}' \
-             "$build/bank_cont_j1.txt")
-delay_list=$(awk '$1 == 16 && $3 == 0 {printf "%s%s", sep, $6; sep=", "}' \
-             "$build/bank_cont_j1.txt")
-cat > "$build/BENCH_bank_contention.json" <<EOF
-{
-  "bench": "bank_sensitivity --contention",
-  "config": "16 cores, svc=4, ports=1, shift=0",
-  "metric": "avg queuing delay per bank-array reservation (cycles)",
-  "banks": [$banks_list],
-  "avg_queue_delay_cycles": [$delay_list]
-}
-EOF
-cat "$build/BENCH_bank_contention.json"
-
 # DRAM contention: the channel-queueing model (arrival-keyed backfill,
 # multi-slot channels, DRAM-fed LLC MSHRs) must hold the same
-# byte-identity guarantee across --jobs, and its headline curve (avg
-# DRAM queue delay falling as channels grow) is archived for trend
-# tracking alongside the weighted-speedup column.
+# byte-identity guarantee across --jobs.
 echo "== dram contention (channel sweep, --jobs 1 vs 8) =="
 dram_args=(--warmup 10000 --instr 20000 --mixes 1 --contention --svc 4
            --ports 1 --dram-sweep --dram-ports 1 --dram-mshr)
@@ -159,33 +116,9 @@ if ! diff -q "$build/dram_cont_j1.txt" "$build/dram_cont_j8.txt" > /dev/null; th
 fi
 echo "bank_sensitivity --dram-sweep: --jobs 1 vs --jobs 8 byte-identical"
 
-# Table columns: cores dramch geomean_metric vs_2ch
-# avg_dram_queue_delay; keep the cores=16 curve.
-chan_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $2; sep=", "}' \
-            "$build/dram_cont_j1.txt")
-dly_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $5; sep=", "}' \
-           "$build/dram_cont_j1.txt")
-spd_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $3; sep=", "}' \
-           "$build/dram_cont_j1.txt")
-cat > "$build/BENCH_dram_contention.json" <<EOF
-{
-  "bench": "bank_sensitivity --dram-sweep",
-  "config": "16 cores, 4 llc banks, svc=4, dram-ports=1, dram-fed mshrs",
-  "metric": "avg DRAM queue delay per access (cycles) + weighted speedup",
-  "channels": [$chan_list],
-  "avg_dram_queue_delay_cycles": [$dly_list],
-  "weighted_speedup": [$spd_list]
-}
-EOF
-cat "$build/BENCH_dram_contention.json"
-
 # DRAM timing: the first-order DDR5 model (row-buffer split,
 # read<->write turnaround, tREFI/tRFC refresh) must hold the same
-# byte-identity guarantee across --jobs; its headline curve — row-hit
-# rate and avg DRAM read latency over channel counts — is archived
-# for trend tracking.  The knobs are passed explicitly so the
-# artifact's config label stays truthful even if the bench defaults
-# change.
+# byte-identity guarantee across --jobs.
 echo "== dram timing (row/turnaround/refresh model, --jobs 1 vs 8) =="
 timing_args=(--warmup 10000 --instr 20000 --mixes 1 --dram-timing
              --row-bits 7 --turnaround 12 --refresh-interval 11700
@@ -199,31 +132,10 @@ if ! diff -q "$build/dram_timing_j1.txt" "$build/dram_timing_j8.txt" > /dev/null
 fi
 echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 
-# Table columns: cores dramch geomean_metric row_hit_rate avg_read_lat
-# avg_hit_lat avg_miss_lat avg_conflict_lat; keep the cores=16 curve.
-tch_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $2; sep=", "}' \
-           "$build/dram_timing_j1.txt")
-hitrate_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $4; sep=", "}' \
-               "$build/dram_timing_j1.txt")
-readlat_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $5; sep=", "}' \
-               "$build/dram_timing_j1.txt")
-cat > "$build/BENCH_dram_timing.json" <<EOF
-{
-  "bench": "bank_sensitivity --dram-timing",
-  "config": "16 cores, 4 llc banks, row-bits=7, turnaround=12, refresh=11700/885",
-  "metric": "row-buffer hit rate + avg DRAM read latency per access (cycles)",
-  "channels": [$tch_list],
-  "row_hit_rate": [$hitrate_list],
-  "avg_dram_read_latency_cycles": [$readlat_list]
-}
-EOF
-cat "$build/BENCH_dram_timing.json"
-
 # Observability: with every obs knob off the tracer hook is a single
 # null-pointer branch, so quickstart/fig04/fig11 must stay
 # byte-identical to the committed goldens; with tracing on, artifacts
-# must be byte-identical across --jobs; and the sampling overhead is
-# measured on a fully-traced sweep and archived honestly.
+# must be byte-identical across --jobs.
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
@@ -299,42 +211,6 @@ if ! diff -q "$build/obs_bank_j1.txt" "$build/obs_bank_j8.txt" \
 fi
 n_artifacts=$(ls "$build/obs_j1" | wc -l)
 echo "traced sweep: stdout + $n_artifacts artifacts byte-identical across --jobs"
-
-# Overhead is measured on the bank sweep because --obs-dir traces
-# EVERY job there — quickstart would dilute the number with its two
-# untraced policy runs.  Full tracing is dominated by trace-file
-# serialization, which is the honest cost of asking for every
-# transaction.
-echo "== obs: sampling overhead (off / 1-in-64 / full) =="
-ovh_args=(--warmup 10000 --instr 20000 --mixes 1 --jobs 1)
-o_start=$(date +%s.%N)
-"$build/bank_sensitivity" "${ovh_args[@]}" > /dev/null
-o_end=$(date +%s.%N)
-s_start=$(date +%s.%N)
-"$build/bank_sensitivity" "${ovh_args[@]}" --trace-sample 64 \
-    --telemetry-window 50000 --obs-dir "$build/obs_ovh64" > /dev/null
-s_end=$(date +%s.%N)
-f_start=$(date +%s.%N)
-"$build/bank_sensitivity" "${ovh_args[@]}" --trace-sample 1 \
-    --telemetry-window 50000 --obs-dir "$build/obs_ovh1" > /dev/null
-f_end=$(date +%s.%N)
-t_off=$(echo "$o_end $o_start" | awk '{printf "%.3f", $1 - $2}')
-t_s64=$(echo "$s_end $s_start" | awk '{printf "%.3f", $1 - $2}')
-t_full=$(echo "$f_end $f_start" | awk '{printf "%.3f", $1 - $2}')
-p64=$(echo "$t_s64 $t_off" | awk '{printf "%.1f", ($1 / $2 - 1) * 100}')
-pfull=$(echo "$t_full $t_off" | awk '{printf "%.1f", ($1/$2 - 1) * 100}')
-cat > "$build/BENCH_obs_overhead.json" <<EOF
-{
-  "bench": "bank_sensitivity --warmup 10000 --instr 20000 --mixes 1 --jobs 1, every job traced via --obs-dir",
-  "metric": "wall seconds; overhead percent relative to obs-off",
-  "obs_off_seconds": $t_off,
-  "trace_1in64_seconds": $t_s64,
-  "trace_full_seconds": $t_full,
-  "overhead_1in64_pct": $p64,
-  "overhead_full_pct": $pfull
-}
-EOF
-cat "$build/BENCH_obs_overhead.json"
 
 echo "== hot-path throughput (accesses/sec; track across PRs) =="
 # Keep the previous run's archive (if any) around for the regression

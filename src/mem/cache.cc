@@ -97,29 +97,37 @@ CacheStats::toStatSet() const
     return s;
 }
 
-Cache::Cache(const CacheParams &params_)
-    : params(params_), pending(params_.mshrs)
+std::uint32_t
+Cache::checkedSetCount(const CacheParams &p)
 {
-    if (params.sizeBytes == 0 || params.assoc == 0)
-        fatal(params.name, ": size and associativity must be non-zero");
-    std::uint64_t lines = params.sizeBytes / kLineBytes;
-    if (lines % params.assoc != 0)
-        fatal(params.name, ": lines (", lines,
-              ") not divisible by assoc (", params.assoc, ")");
-    nSets = static_cast<std::uint32_t>(lines / params.assoc);
-    checkPowerOf2(nSets, (params.name + " set count").c_str());
-    if (params.instrPartitionWays >= params.assoc)
-        fatal(params.name, ": instruction partition (",
-              params.instrPartitionWays, " ways) must leave data ways");
-    // All three arrays encode an invalid frame as zero, so they are
-    // zeroed arrays: a frame's page is first written by a fill.
-    probeTags = makeZeroedArray<Addr>(lines);
-    lineState = makeZeroedArray<std::uint8_t>(lines);
-    if (params.instrPartitionWays > 0)
-        lastUse = makeZeroedArray<Tick>(lines);
-    repl = makePolicy(params.policy, nSets, params.assoc,
-                      params.policyParams);
-    pol.bind(params.policy, repl.get());
+    if (p.sizeBytes == 0 || p.assoc == 0)
+        fatal(p.name, ": size and associativity must be non-zero");
+    std::uint64_t lines = p.sizeBytes / kLineBytes;
+    if (lines % p.assoc != 0)
+        fatal(p.name, ": lines (", lines, ") not divisible by assoc (",
+              p.assoc, ")");
+    auto sets = static_cast<std::uint32_t>(lines / p.assoc);
+    checkPowerOf2(sets, (p.name + " set count").c_str());
+    if (p.instrPartitionWays >= p.assoc)
+        fatal(p.name, ": instruction partition (", p.instrPartitionWays,
+              " ways) must leave data ways");
+    return sets;
+}
+
+// All three frame arrays encode an invalid frame as zero, so they are
+// zeroed arrays: a frame's page is first written by a fill.
+Cache::Cache(const CacheParams &params_)
+    : params(params_), nSets(checkedSetCount(params_)),
+      pending(params_.mshrs),
+      probeTags(makeZeroedArray<Addr>(std::size_t{nSets} * params_.assoc)),
+      lineState(makeZeroedArray<std::uint8_t>(std::size_t{nSets} *
+                                              params_.assoc)),
+      lastUse(params_.instrPartitionWays > 0
+                  ? makeZeroedArray<Tick>(std::size_t{nSets} * params_.assoc)
+                  : ZeroedArray<Tick>()),
+      repl(makePolicy(params_.policy, nSets, params_.assoc,
+                      params_.policyParams))
+{
     if (params.bankServiceCycles > 0) {
         if (params.bankPorts == 0)
             fatal(params.name, ": bankPorts must be non-zero when the "
@@ -272,7 +280,7 @@ Cache::access(const MemAccess &acc)
         ++stat.accesses;
         if (acc.isInstr)
             ++stat.instrAccesses;
-        pol.onAccess(set, acc, resident);
+        repl.onAccess(set, acc, resident);
     }
 
     // Fig. 3(d) I-oracle: instructions always hit after first access and
@@ -302,7 +310,7 @@ Cache::access(const MemAccess &acc)
                 lineState[i] &= ~kPrefetched;
                 ++stat.prefetchUseful;
             }
-            pol.onHit(set, way, acc);
+            repl.onHit(set, way, acc);
             if (lastUse)
                 lastUse[i] = ++useTick;
             if (acc.isWrite)
@@ -353,7 +361,7 @@ Cache::pickVictim(std::uint32_t set, const MemAccess &acc,
     if (first_invalid < params.assoc)
         return first_invalid;
 
-    std::uint32_t way = pol.victim(set, acc);
+    std::uint32_t way = repl.victim(set, acc);
     if (!companion)
         return way;
 
@@ -373,9 +381,9 @@ Cache::pickVictim(std::uint32_t set, const MemAccess &acc,
                                       << kLineShift))
             break;
         ++stat.qbsProtections;
-        pol.promote(set, way);
+        repl.promote(set, way);
         ++attempts;
-        way = pol.victim(set, acc);
+        way = repl.victim(set, acc);
     }
     return way;
 }
@@ -425,7 +433,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
             ++stat.instrEvictions;
         if (ev.dirty)
             ++stat.writebacksOut;
-        pol.onEvict(set, way);
+        repl.onEvict(set, way);
         if (companion)
             companion->observeEvict(ev.lineAddr, ev.isInstr);
     }
@@ -436,7 +444,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
         (acc.isPrefetch ? kPrefetched : 0));
     if (lastUse)
         lastUse[i] = ++useTick;
-    pol.onInsert(set, way, acc);
+    repl.onInsert(set, way, acc);
     if (acc.isPrefetch)
         ++stat.prefetchInserts;
     if (companion)
@@ -465,7 +473,7 @@ Cache::invalidate(Addr line_addr)
         return false;
     std::size_t i = frameIndex(set, w);
     bool was_dirty = lineState[i] & kDirty;
-    pol.onEvict(set, w);
+    repl.onEvict(set, w);
     if (companion)
         companion->observeEvict(line_addr, lineState[i] & kInstr);
     probeTags[i] = 0;

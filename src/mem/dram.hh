@@ -152,13 +152,6 @@ class Dram
      */
     DramAccess request(Addr line_addr, bool is_write, Cycle now);
 
-    /** Compatibility wrapper: latency leg of request(). */
-    Cycle
-    access(Addr line_addr, bool is_write, Cycle now)
-    {
-        return request(line_addr, is_write, now).latency;
-    }
-
     /**
      * Channel servicing @p line_addr: hashed so structured strides
      * spread, reduced by mask for power-of-two channel counts (the

@@ -10,6 +10,16 @@
 namespace garibaldi
 {
 
+namespace
+{
+
+/** Extra stall cycles charged when a cache's MSHRs are full. */
+constexpr Cycle kMshrFullPenalty = 8;
+/** Tracked lines in the bounded instruction-criticality table. */
+constexpr std::uint32_t kInstrCritEntries = 32768;
+
+} // namespace
+
 SIM_STATS(MemoryHierarchy,
     SIM_STAT_GATED("llc.banks", gauge, "numBanks"),
     SIM_STAT("mshr_stalls", counter),
@@ -57,8 +67,7 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     dramModel = std::make_unique<Dram>(params.dram);
     dir = std::make_unique<Directory>(clusters);
     if (params.llc.instrPartitionWays > 0 && params.llc.partitionCriticalOnly)
-        instrCrit =
-            std::make_unique<DecayingCounterTable>(params.instrCritEntries);
+        instrCrit = std::make_unique<DecayingCounterTable>(kInstrCritEntries);
 }
 
 void
@@ -90,18 +99,6 @@ MemoryHierarchy::access(const MemAccess &acc, Cycle now)
     Transaction txn(acc, now);
     execute(txn);
     return txn.outcome();
-}
-
-void
-MemoryHierarchy::submitBatch(const TimedAccess *batch, std::size_t count,
-                             AccessOutcome *outcomes)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        Transaction txn(batch[i].acc, batch[i].now);
-        execute(txn);
-        if (outcomes)
-            outcomes[i] = txn.outcome();
-    }
 }
 
 void
@@ -231,8 +228,8 @@ MemoryHierarchy::stageLlc(Transaction &txn)
         // Only misses allocate an MSHR, and pressure is per bank — the
         // owning bank's book holds a fraction of the whole-LLC budget,
         // so the check must not go through a fixed (monolithic) cache.
-        txn.mshrCycles += params.mshrFullPenalty;
-        bank.noteMshrStall(params.mshrFullPenalty);
+        txn.mshrCycles += kMshrFullPenalty;
+        bank.noteMshrStall(kMshrFullPenalty);
     }
     // Charged before the listener fan-out so monitors observe the
     // full queue delay.
@@ -292,7 +289,7 @@ MemoryHierarchy::stageDramFill(Transaction &txn)
 
     Eviction ev = llcSet->insert(txn.req, false, txn.critical);
     if (ev.valid && ev.dirty)
-        dramModel->access(ev.lineAddr, true, txn.issued);
+        dramModel->request(ev.lineAddr, true, txn.issued);
     if (llcSet->contentionEnabled()) {
         // The fill write consumes one data-array slot.  Bandwidth is
         // booked in issue order (the DRAM model posts writebacks at
@@ -333,7 +330,7 @@ MemoryHierarchy::stageL1Fill(Transaction &txn, Cache &l1)
     // Accumulate: an LLC-bank MSHR stall charged earlier in the
     // pipeline must not be overwritten by the L1's own penalty.
     if (!txn.req.isPrefetch && l1.mshrsFull(txn.issued))
-        txn.mshrCycles += params.mshrFullPenalty;
+        txn.mshrCycles += kMshrFullPenalty;
 }
 
 void
@@ -416,7 +413,7 @@ MemoryHierarchy::llcOnlyPrefetch(Addr line_addr, CoreId core, Cycle now)
                                          now);
     Eviction ev = llcSet->insert(pf);
     if (ev.valid && ev.dirty)
-        dramModel->access(ev.lineAddr, true, now);
+        dramModel->request(ev.lineAddr, true, now);
     if (llcSet->contentionEnabled()) {
         // Prefetch fills consume data-array bandwidth like demand
         // fills (booked in issue order); nobody waits on them, so the
@@ -461,7 +458,7 @@ MemoryHierarchy::writebackToLlc(const Eviction &ev, CoreId core,
     wb.isPrefetch = true;
     Eviction displaced = llcSet->insert(wb, /*dirty=*/true);
     if (displaced.valid && displaced.dirty)
-        dramModel->access(displaced.lineAddr, true, now);
+        dramModel->request(displaced.lineAddr, true, now);
 }
 
 void

@@ -51,8 +51,6 @@ struct HierarchyParams
     bool l1dNextLinePrefetcher = true;
     bool l2GhbPrefetcher = true;
     bool l1iIspyPrefetcher = true;
-    /** Extra stall cycles charged when a cache's MSHRs are full. */
-    Cycle mshrFullPenalty = 8;
 
     /** LLC bank count (power of two; 1 = monolithic seed behavior). */
     std::uint32_t llcBanks = 1;
@@ -77,8 +75,6 @@ struct HierarchyParams
      * the booked slot end, not the shorter request-path sum).
      */
     bool dramFedLlcMshrs = false;
-    /** Tracked lines in the bounded instruction-criticality table. */
-    std::uint32_t instrCritEntries = 32768;
 };
 
 /** The assembled cache/memory system. */
@@ -89,17 +85,6 @@ class MemoryHierarchy
 
     /** Service a demand access; returns the load-to-use outcome. */
     AccessOutcome access(const MemAccess &acc, Cycle now);
-
-    /**
-     * Service @p count demand accesses in submission order — exactly
-     * equivalent to calling access() on each element in turn (pinned by
-     * the batch-identity unit test); the batch entry exists so drivers
-     * with a ready run of accesses amortize the per-call overhead into
-     * one hierarchy crossing.  When @p outcomes is non-null it receives
-     * one entry per element.
-     */
-    void submitBatch(const TimedAccess *batch, std::size_t count,
-                     AccessOutcome *outcomes = nullptr);
 
     /** Run @p txn through the staged pipeline. */
     void execute(Transaction &txn);

@@ -15,28 +15,24 @@
 
 #include "common/sat_counter.hh"
 #include "mem/policy/optgen.hh"
-#include "mem/policy/replacement.hh"
+#include "mem/policy/policy_base.hh"
 
 namespace garibaldi
 {
 
 /** Hawkeye replacement. */
-class HawkeyePolicy final : public ReplacementPolicy
+class HawkeyePolicy final : public PolicyBase
 {
   public:
     HawkeyePolicy(std::uint32_t num_sets, std::uint32_t assoc,
                   const PolicyParams &params);
 
-    void onAccess(std::uint32_t set, const MemAccess &acc,
-                  bool hit) override;
-    void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
-    std::uint32_t victim(std::uint32_t set, const MemAccess &acc) override;
-    void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void promote(std::uint32_t set, std::uint32_t way) override;
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "hawkeye"; }
+    void onAccess(std::uint32_t set, const MemAccess &acc, bool hit);
+    void onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
+    std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
+    void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
+    void promote(std::uint32_t set, std::uint32_t way);
+    void onEvict(std::uint32_t set, std::uint32_t way);
 
     /** Predictor verdict for a PC, exposed for tests. */
     bool isFriendly(Addr pc) const;

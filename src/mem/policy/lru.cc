@@ -4,7 +4,7 @@ namespace garibaldi
 {
 
 LruPolicy::LruPolicy(std::uint32_t num_sets, std::uint32_t assoc_)
-    : ReplacementPolicy(num_sets, assoc_),
+    : PolicyBase(num_sets, assoc_),
       stamps(makeZeroedArray<Tick>(std::size_t{num_sets} * assoc_))
 {
 }

@@ -7,25 +7,22 @@
 #define GARIBALDI_MEM_POLICY_LRU_HH
 
 #include "common/zeroed_array.hh"
-#include "mem/policy/replacement.hh"
+#include "mem/policy/policy_base.hh"
 
 namespace garibaldi
 {
 
 /** Exact LRU via monotonic per-cache ticks. */
-class LruPolicy final : public ReplacementPolicy
+class LruPolicy final : public PolicyBase
 {
   public:
     LruPolicy(std::uint32_t num_sets, std::uint32_t assoc);
 
-    void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
-    std::uint32_t victim(std::uint32_t set, const MemAccess &acc) override;
-    void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void promote(std::uint32_t set, std::uint32_t way) override;
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "lru"; }
+    void onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
+    std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
+    void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
+    void promote(std::uint32_t set, std::uint32_t way);
+    void onEvict(std::uint32_t set, std::uint32_t way);
 
   private:
     Tick &stamp(std::uint32_t set, std::uint32_t way)

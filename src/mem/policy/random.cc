@@ -5,7 +5,7 @@ namespace garibaldi
 
 RandomPolicy::RandomPolicy(std::uint32_t num_sets, std::uint32_t assoc_,
                            std::uint64_t seed)
-    : ReplacementPolicy(num_sets, assoc_), rng(seed, 0x5eedf00d),
+    : PolicyBase(num_sets, assoc_), rng(seed, 0x5eedf00d),
       shielded(num_sets, -1)
 {
 }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "mem/policy/replacement.hh"
+#include "mem/policy/policy_base.hh"
 
 namespace garibaldi
 {
@@ -19,18 +19,16 @@ namespace garibaldi
  * from the immediately following victim() call so QBS retries make
  * progress.
  */
-class RandomPolicy final : public ReplacementPolicy
+class RandomPolicy final : public PolicyBase
 {
   public:
     RandomPolicy(std::uint32_t num_sets, std::uint32_t assoc,
                  std::uint64_t seed);
 
-    void onHit(std::uint32_t, std::uint32_t, const MemAccess &) override {}
-    std::uint32_t victim(std::uint32_t set, const MemAccess &acc) override;
-    void onInsert(std::uint32_t, std::uint32_t, const MemAccess &) override
-    {}
-    void promote(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "random"; }
+    void onHit(std::uint32_t, std::uint32_t, const MemAccess &) {}
+    std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
+    void onInsert(std::uint32_t, std::uint32_t, const MemAccess &) {}
+    void promote(std::uint32_t set, std::uint32_t way);
 
   private:
     Pcg32 rng;

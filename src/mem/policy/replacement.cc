@@ -1,12 +1,6 @@
 #include "mem/policy/replacement.hh"
 
 #include "common/logging.hh"
-#include "mem/policy/hawkeye.hh"
-#include "mem/policy/lru.hh"
-#include "mem/policy/mockingjay.hh"
-#include "mem/policy/random.hh"
-#include "mem/policy/rrip.hh"
-#include "mem/policy/ship.hh"
 
 namespace garibaldi
 {
@@ -54,34 +48,35 @@ parsePolicyKind(const std::string &name)
     fatal("unknown replacement policy '", name, "'");
 }
 
-std::unique_ptr<ReplacementPolicy>
+ReplacementPolicy
 makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
            const PolicyParams &params)
 {
     switch (kind) {
       case PolicyKind::LRU:
-        return std::make_unique<LruPolicy>(num_sets, assoc);
+        return ReplacementPolicy(std::in_place_type<LruPolicy>, num_sets,
+                                 assoc);
       case PolicyKind::Random:
-        return std::make_unique<RandomPolicy>(num_sets, assoc,
-                                              params.seed);
+        return ReplacementPolicy(std::in_place_type<RandomPolicy>,
+                                 num_sets, assoc, params.seed);
       case PolicyKind::SRRIP:
-        return std::make_unique<SrripPolicy>(num_sets, assoc,
-                                             params.counterBits);
+        return ReplacementPolicy(std::in_place_type<SrripPolicy>,
+                                 num_sets, assoc, params.counterBits);
       case PolicyKind::DRRIP:
-        return std::make_unique<DrripPolicy>(num_sets, assoc,
-                                             params.counterBits,
-                                             params.seed);
+        return ReplacementPolicy(std::in_place_type<DrripPolicy>,
+                                 num_sets, assoc, params.counterBits,
+                                 params.seed);
       case PolicyKind::SHiP:
-        return std::make_unique<ShipPolicy>(num_sets, assoc,
-                                            params.counterBits);
+        return ReplacementPolicy(std::in_place_type<ShipPolicy>, num_sets,
+                                 assoc, params.counterBits);
       case PolicyKind::Hawkeye:
-        return std::make_unique<HawkeyePolicy>(num_sets, assoc, params);
+        return ReplacementPolicy(std::in_place_type<HawkeyePolicy>,
+                                 num_sets, assoc, params);
       case PolicyKind::Mockingjay:
-        return std::make_unique<MockingjayPolicy>(num_sets, assoc,
-                                                  params);
-      default:
-        panic("makePolicy: bad kind");
+        return ReplacementPolicy(std::in_place_type<MockingjayPolicy>,
+                                 num_sets, assoc, params);
     }
+    panic("makePolicy: bad kind");
 }
 
 } // namespace garibaldi

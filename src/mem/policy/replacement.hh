@@ -1,68 +1,40 @@
 /**
  * @file
- * Replacement policy interface and factory.
+ * Replacement policy: the closed set of policies held by value, and
+ * its factory.
  *
  * The interface is intentionally richer than gem5's: PC-indexed
  * predictive policies (SHiP, Hawkeye, Mockingjay) observe every access
  * to train, and the QBS-style promote() hook lets Garibaldi reset a
  * protected victim's eviction priority without the policy knowing why
  * (§4.2 of the paper).
+ *
+ * Each hook is one std::visit over the variant.  For a single variant
+ * of at most 11 alternatives libstdc++ lowers that to a switch on the
+ * index, so the cache's per-access hooks inline into the concrete
+ * policy's code with no indirect call.
  */
 
 #ifndef GARIBALDI_MEM_POLICY_REPLACEMENT_HH
 #define GARIBALDI_MEM_POLICY_REPLACEMENT_HH
 
-#include <cstdint>
-#include <memory>
-#include <string>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
-#include "common/types.hh"
-#include "mem/request.hh"
+#include "mem/policy/hawkeye.hh"
+#include "mem/policy/lru.hh"
+#include "mem/policy/mockingjay.hh"
+#include "mem/policy/policy_base.hh"
+#include "mem/policy/random.hh"
+#include "mem/policy/rrip.hh"
+#include "mem/policy/ship.hh"
 
 namespace garibaldi
 {
 
-/** Replacement policy selector. */
-enum class PolicyKind : std::uint8_t
-{
-    LRU = 0,
-    Random,
-    SRRIP,
-    DRRIP,
-    SHiP,
-    Hawkeye,
-    Mockingjay,
-};
-
-/** Human-readable policy name. */
-const char *policyKindName(PolicyKind kind);
-
-/** Parse a policy name ("lru", "drrip", "mockingjay", ...). */
-PolicyKind parsePolicyKind(const std::string &name);
-
-/** Tunables shared by the predictive policies. */
-struct PolicyParams
-{
-    /**
-     * RRPV / ETR counter width in bits.  3 matches Mockingjay's signed
-     * ETR range ([-4, 3]) and gives SRRIP-family policies an 8-level
-     * RRPV — the width every archived trace and golden was produced
-     * with.  (An earlier comment claimed the paper's Table 3 prescribes
-     * 5; nothing in the methodology we reproduce bears that out, and
-     * the default was never 5.)  Pinned by PolicyParamsDefaultsPinned:
-     * changing it invalidates every policy trace hash.
-     */
-    unsigned counterBits = 3;
-    /** Sample one of every 2^sampleShift sets for history-based policies. */
-    unsigned sampleShift = 3;
-    /** History length as a multiple of associativity (paper: 8x). */
-    unsigned historyAssocMult = 8;
-    /** Seed for randomized policies. */
-    std::uint64_t seed = 1;
-};
-
 /**
- * Abstract per-cache replacement policy.  The cache calls:
+ * Per-cache replacement policy.  The cache calls:
  *  - onAccess() for every demand lookup (training hook, before outcome),
  *  - onHit() when the lookup hits,
  *  - victim() when an insertion needs a frame and no way is invalid,
@@ -74,59 +46,86 @@ struct PolicyParams
 class ReplacementPolicy
 {
   public:
-    /**
-     * @param num_sets number of sets in the cache
-     * @param assoc associativity
-     */
-    ReplacementPolicy(std::uint32_t num_sets, std::uint32_t assoc_)
-        : numSets(num_sets), assoc(assoc_)
+    /** One alternative per PolicyKind, in PolicyKind order. */
+    using Variant = std::variant<LruPolicy, RandomPolicy, SrripPolicy,
+                                 DrripPolicy, ShipPolicy, HawkeyePolicy,
+                                 MockingjayPolicy>;
+
+    /** Build alternative @p P in place from @p args. */
+    template <typename P, typename... Args>
+    explicit ReplacementPolicy(std::in_place_type_t<P> type,
+                               Args &&...args)
+        : impl(type, std::forward<Args>(args)...)
     {}
 
-    virtual ~ReplacementPolicy() = default;
-
-    /** Training hook invoked for every demand lookup. */
-    virtual void onAccess(std::uint32_t set, const MemAccess &acc,
-                          bool hit)
+    void
+    onAccess(std::uint32_t set, const MemAccess &acc, bool hit)
     {
-        (void)set;
-        (void)acc;
-        (void)hit;
+        std::visit([&](auto &p) { p.onAccess(set, acc, hit); }, impl);
     }
 
-    /** The lookup hit way @p way. */
-    virtual void onHit(std::uint32_t set, std::uint32_t way,
-                       const MemAccess &acc) = 0;
+    void
+    onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc)
+    {
+        std::visit([&](auto &p) { p.onHit(set, way, acc); }, impl);
+    }
 
     /** Choose the eviction victim way in @p set (all ways valid). */
-    virtual std::uint32_t victim(std::uint32_t set,
-                                 const MemAccess &acc) = 0;
-
-    /** A new line was inserted into (set, way). */
-    virtual void onInsert(std::uint32_t set, std::uint32_t way,
-                          const MemAccess &acc) = 0;
-
-    /** Reset (set, way) to the lowest eviction priority (QBS action). */
-    virtual void promote(std::uint32_t set, std::uint32_t way) = 0;
-
-    /** A line was evicted or invalidated from (set, way). */
-    virtual void onEvict(std::uint32_t set, std::uint32_t way)
+    std::uint32_t
+    victim(std::uint32_t set, const MemAccess &acc)
     {
-        (void)set;
-        (void)way;
+        return std::visit([&](auto &p) { return p.victim(set, acc); },
+                          impl);
     }
 
-    /** Policy name for reports. */
-    virtual const char *name() const = 0;
+    void
+    onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc)
+    {
+        std::visit([&](auto &p) { p.onInsert(set, way, acc); }, impl);
+    }
 
-  protected:
-    std::uint32_t numSets;
-    std::uint32_t assoc;
+    /** Reset (set, way) to the lowest eviction priority (QBS action). */
+    void
+    promote(std::uint32_t set, std::uint32_t way)
+    {
+        std::visit([&](auto &p) { p.promote(set, way); }, impl);
+    }
+
+    void
+    onEvict(std::uint32_t set, std::uint32_t way)
+    {
+        std::visit([&](auto &p) { p.onEvict(set, way); }, impl);
+    }
+
+    PolicyKind kind() const { return static_cast<PolicyKind>(impl.index()); }
+
+    /** Policy name for reports. */
+    const char *name() const { return policyKindName(kind()); }
+
+  private:
+    template <PolicyKind K, typename P>
+    static constexpr bool kAt = std::is_same_v<
+        std::variant_alternative_t<static_cast<std::size_t>(K), Variant>,
+        P>;
+    static_assert(std::variant_size_v<Variant> ==
+                      static_cast<std::size_t>(PolicyKind::Mockingjay) + 1,
+                  "one alternative per PolicyKind");
+    static_assert(kAt<PolicyKind::LRU, LruPolicy> &&
+                      kAt<PolicyKind::Random, RandomPolicy> &&
+                      kAt<PolicyKind::SRRIP, SrripPolicy> &&
+                      kAt<PolicyKind::DRRIP, DrripPolicy> &&
+                      kAt<PolicyKind::SHiP, ShipPolicy> &&
+                      kAt<PolicyKind::Hawkeye, HawkeyePolicy> &&
+                      kAt<PolicyKind::Mockingjay, MockingjayPolicy>,
+                  "variant index must equal PolicyKind");
+
+    Variant impl;
 };
 
 /** Instantiate a policy for the given geometry. */
-std::unique_ptr<ReplacementPolicy>
-makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
-           const PolicyParams &params = {});
+ReplacementPolicy makePolicy(PolicyKind kind, std::uint32_t num_sets,
+                             std::uint32_t assoc,
+                             const PolicyParams &params = {});
 
 } // namespace garibaldi
 

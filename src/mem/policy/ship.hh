@@ -24,12 +24,9 @@ class ShipPolicy final : public SrripPolicy
     ShipPolicy(std::uint32_t num_sets, std::uint32_t assoc,
                unsigned counter_bits);
 
-    void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
-    void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "ship"; }
+    void onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
+    void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
+    void onEvict(std::uint32_t set, std::uint32_t way);
 
     /** SHCT counter value for a PC, exposed for tests. */
     unsigned shctOf(Addr pc) const { return shct[signature(pc)].value(); }

@@ -29,7 +29,6 @@ class GhbPrefetcher : public Prefetcher
 
     void observe(const MemAccess &acc, bool hit,
                  std::vector<Addr> &out) override;
-    const char *name() const override { return "ghb"; }
 
   private:
     struct Entry

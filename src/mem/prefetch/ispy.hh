@@ -32,7 +32,6 @@ class IspyPrefetcher : public Prefetcher
 
     void observe(const MemAccess &acc, bool hit,
                  std::vector<Addr> &out) override;
-    const char *name() const override { return "ispy"; }
 
   private:
     static constexpr unsigned kMaxSucc = 4;

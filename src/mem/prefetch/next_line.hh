@@ -19,7 +19,6 @@ class NextLinePrefetcher : public Prefetcher
 
     void observe(const MemAccess &acc, bool hit,
                  std::vector<Addr> &out) override;
-    const char *name() const override { return "next-line"; }
 
   private:
     unsigned degree;

@@ -28,9 +28,6 @@ class Prefetcher
     virtual void observe(const MemAccess &acc, bool hit,
                          std::vector<Addr> &out) = 0;
 
-    /** Engine name for reports. */
-    virtual const char *name() const = 0;
-
     /** Prefetches proposed so far. */
     std::uint64_t issued() const { return nIssued; }
 

@@ -48,14 +48,6 @@ struct AccessOutcome
     bool llcHit = false;   //!< ... and hit there
 };
 
-/** One element of a batched hierarchy submission: an access plus the
- *  cycle it issues at (MemoryHierarchy::submitBatch). */
-struct TimedAccess
-{
-    MemAccess acc{};
-    Cycle now = 0;
-};
-
 inline const char *
 hitLevelName(HitLevel level)
 {

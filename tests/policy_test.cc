@@ -33,9 +33,9 @@ TEST(PolicyFactory, NamesRoundTrip)
           PolicyKind::DRRIP, PolicyKind::SHiP, PolicyKind::Hawkeye,
           PolicyKind::Mockingjay}) {
         EXPECT_EQ(parsePolicyKind(policyKindName(k)), k);
-        auto p = makePolicy(k, 64, 8);
-        ASSERT_NE(p, nullptr);
-        EXPECT_STREQ(p->name(), policyKindName(k));
+        ReplacementPolicy p = makePolicy(k, 64, 8);
+        EXPECT_EQ(p.kind(), k);
+        EXPECT_STREQ(p.name(), policyKindName(k));
     }
 }
 
@@ -44,11 +44,11 @@ TEST(Lru, VictimIsLeastRecent)
     auto p = makePolicy(PolicyKind::LRU, 4, 4);
     MemAccess a = pcAccess(0);
     for (std::uint32_t w = 0; w < 4; ++w)
-        p->onInsert(0, w, a);
-    p->onHit(0, 0, a); // 0 most recent; way 1 is oldest
-    EXPECT_EQ(p->victim(0, a), 1u);
-    p->onHit(0, 1, a);
-    EXPECT_EQ(p->victim(0, a), 2u);
+        p.onInsert(0, w, a);
+    p.onHit(0, 0, a); // 0 most recent; way 1 is oldest
+    EXPECT_EQ(p.victim(0, a), 1u);
+    p.onHit(0, 1, a);
+    EXPECT_EQ(p.victim(0, a), 2u);
 }
 
 TEST(Lru, PromoteShieldsLine)
@@ -56,10 +56,10 @@ TEST(Lru, PromoteShieldsLine)
     auto p = makePolicy(PolicyKind::LRU, 4, 4);
     MemAccess a = pcAccess(0);
     for (std::uint32_t w = 0; w < 4; ++w)
-        p->onInsert(0, w, a);
-    EXPECT_EQ(p->victim(0, a), 0u);
-    p->promote(0, 0);
-    EXPECT_EQ(p->victim(0, a), 1u);
+        p.onInsert(0, w, a);
+    EXPECT_EQ(p.victim(0, a), 0u);
+    p.promote(0, 0);
+    EXPECT_EQ(p.victim(0, a), 1u);
 }
 
 TEST(Srrip, InsertLongHitNear)
@@ -171,13 +171,13 @@ TEST_P(PolicyInvariantTest, VictimAlwaysInRange)
         std::uint32_t set = rng.nextBounded(16);
         MemAccess a = pcAccess(rng.next() & ~3u,
                                Addr{rng.next()} << kLineShift);
-        p->onAccess(set, a, rng.chance(0.5));
+        p.onAccess(set, a, rng.chance(0.5));
         std::uint32_t w = rng.nextBounded(8);
         if (rng.chance(0.5))
-            p->onHit(set, w, a);
+            p.onHit(set, w, a);
         else
-            p->onInsert(set, w, a);
-        std::uint32_t v = p->victim(set, a);
+            p.onInsert(set, w, a);
+        std::uint32_t v = p.victim(set, a);
         EXPECT_LT(v, 8u);
     }
 }
@@ -187,10 +187,10 @@ TEST_P(PolicyInvariantTest, PromoteChangesImmediateVictim)
     auto p = makePolicy(GetParam(), 4, 8);
     MemAccess a = pcAccess(0x40);
     for (std::uint32_t w = 0; w < 8; ++w)
-        p->onInsert(0, w, a);
-    std::uint32_t v1 = p->victim(0, a);
-    p->promote(0, v1);
-    std::uint32_t v2 = p->victim(0, a);
+        p.onInsert(0, w, a);
+    std::uint32_t v1 = p.victim(0, a);
+    p.promote(0, v1);
+    std::uint32_t v2 = p.victim(0, a);
     EXPECT_NE(v1, v2);
 }
 
@@ -200,10 +200,10 @@ TEST_P(PolicyInvariantTest, EvictThenReinsertIsStable)
     MemAccess a = pcAccess(0x40);
     for (int round = 0; round < 50; ++round) {
         for (std::uint32_t w = 0; w < 4; ++w)
-            p->onInsert(0, w, a);
-        std::uint32_t v = p->victim(0, a);
-        p->onEvict(0, v);
-        p->onInsert(0, v, a);
+            p.onInsert(0, w, a);
+        std::uint32_t v = p.victim(0, a);
+        p.onEvict(0, v);
+        p.onInsert(0, v, a);
     }
     SUCCEED();
 }

@@ -2,13 +2,16 @@
  * @file
  * Workload-engine tests: catalog completeness, stream determinism,
  * code-layout properties, data-space behavior, and the many-to-few vs
- * few-to-many characterization that defines server vs SPEC profiles.
+ * few-to-many characterization that defines server vs SPEC profiles,
+ * and MicroOpStream::fill against per-op next().
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "workloads/catalog.hh"
 #include "workloads/code_layout.hh"
@@ -309,6 +312,33 @@ TEST(WorkloadParams, FootprintScaling)
     EXPECT_EQ(p.numFunctions, funcs / 2);
     p.scaleFootprint(0.0); // floors at one function
     EXPECT_EQ(p.numFunctions, 1u);
+}
+
+TEST(Batch, StreamFillMatchesPerOpNext)
+{
+    WorkloadParams params = workloadByName("tpcc");
+    SynthWorkload a(params, /*seed=*/7);
+    SynthWorkload b(params, /*seed=*/7);
+
+    std::vector<MicroOp> filled(1000);
+    // Ragged chunks: fill() must be exactly n next() calls.
+    std::size_t chunk = 1, at = 0;
+    while (at < filled.size()) {
+        std::size_t n = std::min(chunk, filled.size() - at);
+        a.fill(&filled[at], n);
+        at += n;
+        chunk = chunk % 13 + 1;
+    }
+    for (std::size_t i = 0; i < filled.size(); ++i) {
+        MicroOp op = b.next();
+        ASSERT_EQ(op.pc, filled[i].pc) << i;
+        ASSERT_EQ(op.mem, filled[i].mem) << i;
+        ASSERT_EQ(op.vaddr, filled[i].vaddr) << i;
+        ASSERT_EQ(op.isBranch, filled[i].isBranch) << i;
+        ASSERT_EQ(op.branchTaken, filled[i].branchTaken) << i;
+        ASSERT_EQ(op.isIndirect, filled[i].isIndirect) << i;
+        ASSERT_EQ(op.branchTarget, filled[i].branchTarget) << i;
+    }
 }
 
 } // namespace
