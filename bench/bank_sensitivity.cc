@@ -21,9 +21,8 @@
  * point reports the average DRAM queue delay per access — which falls
  * monotonically as channels spread the same fill traffic — and the
  * weighted speedup relative to the 2-channel Table 1 baseline.
- * --dram-ports sets the per-channel transfer slots and --dram-mshr
- * turns on DRAM-fed LLC MSHR occupancy, so the mode exercises every
- * memory-contention knob.
+ * --dram-mshr turns on DRAM-fed LLC MSHR occupancy, so the mode
+ * exercises every memory-contention knob.
  *
  * With --dram-timing the first-order DDR5 timing model is enabled
  * (row-buffer split via --row-bits, read<->write turnaround via
@@ -62,7 +61,6 @@ main(int argc, char **argv)
     args.addInt("ports", 1, "ports per bank array (with --contention)");
     args.addFlag("dram-sweep",
                  "sweep DRAM channels (1/2/4) instead of banks x shift");
-    args.addInt("dram-ports", 1, "transfer slots per DRAM channel");
     args.addFlag("dram-mshr",
                  "DRAM-fed LLC MSHR occupancy (hold bank MSHRs until "
                  "the channel's fill completion)");
@@ -124,10 +122,6 @@ main(int argc, char **argv)
               "pick one");
 
     SystemConfig base = b.config();
-    std::int64_t dram_ports = args.getInt("dram-ports");
-    if (dram_ports <= 0)
-        fatal("--dram-ports must be positive");
-    base.dram.channelPorts = static_cast<std::uint32_t>(dram_ports);
     base.dramFedLlcMshrs = args.getFlag("dram-mshr");
     if (dram_timing) {
         // Contradictory knob combos die early with a clear message

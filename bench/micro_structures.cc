@@ -154,7 +154,7 @@ BM_SimulatorStepRate(benchmark::State &state)
     cfg.llcPolicy = PolicyKind::Mockingjay;
     cfg.garibaldiEnabled = true;
     System sys(cfg, homogeneousMix("tpcc", 2));
-    MicroOpStream &stream = sys.stream(0);
+    SynthWorkload &stream = sys.stream(0);
     CoreModel &core = sys.core(0);
     for (auto _ : state)
         core.step(stream.next());

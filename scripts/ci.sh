@@ -102,11 +102,11 @@ fi
 echo "bank_sensitivity --contention: --jobs 1 vs --jobs 8 byte-identical"
 
 # DRAM contention: the channel-queueing model (arrival-keyed backfill,
-# multi-slot channels, DRAM-fed LLC MSHRs) must hold the same
+# DRAM-fed LLC MSHRs) must hold the same
 # byte-identity guarantee across --jobs.
 echo "== dram contention (channel sweep, --jobs 1 vs 8) =="
 dram_args=(--warmup 10000 --instr 20000 --mixes 1 --contention --svc 4
-           --ports 1 --dram-sweep --dram-ports 1 --dram-mshr)
+           --ports 1 --dram-sweep --dram-mshr)
 "$build/bank_sensitivity" "${dram_args[@]}" --jobs 1 > "$build/dram_cont_j1.txt"
 "$build/bank_sensitivity" "${dram_args[@]}" --jobs 8 > "$build/dram_cont_j8.txt"
 if ! diff -q "$build/dram_cont_j1.txt" "$build/dram_cont_j8.txt" > /dev/null; then

@@ -1,5 +1,6 @@
 #include "common/cli.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -7,6 +8,31 @@
 
 namespace garibaldi
 {
+
+namespace
+{
+
+/**
+ * Why @p text is not a valid value for an integer (@p integer) or
+ * floating-point option, or null when it parses completely and in
+ * range.  Integers take base 0, so hex and octal spellings parse.
+ */
+const char *
+numberError(const std::string &text, bool integer)
+{
+    const char *begin = text.c_str();
+    char *end = nullptr;
+    errno = 0;
+    if (integer)
+        std::strtoll(begin, &end, 0);
+    else
+        std::strtod(begin, &end);
+    if (end == begin || *end != '\0')
+        return integer ? "is not an integer" : "is not a number";
+    return errno == ERANGE ? "is out of range" : nullptr;
+}
+
+} // namespace
 
 ArgParser::ArgParser(std::string description_)
     : description(std::move(description_))
@@ -118,6 +144,14 @@ ArgParser::parse(int argc, const char *const *argv)
                 std::exit(1);
             }
             value = argv[++i];
+        }
+        if (opt->kind == Kind::Int || opt->kind == Kind::Double) {
+            if (const char *why =
+                    numberError(value, opt->kind == Kind::Int)) {
+                std::fprintf(stderr, "error: --%s value '%s' %s\n",
+                             name.c_str(), value.c_str(), why);
+                std::exit(1);
+            }
         }
         opt->value = value;
     }

@@ -39,7 +39,9 @@ class ArgParser
 
     /**
      * Parse argv.  On --help prints usage and exits 0; on malformed
-     * input prints an error and exits 1.
+     * input prints an error and exits 1.  Malformed input includes an
+     * integer or floating-point value that does not parse completely
+     * or lies out of range ("5e4" or "abc" for an integer option).
      */
     void parse(int argc, const char *const *argv);
 

@@ -122,7 +122,7 @@ StatKindRegistry::resolve(const std::string &name) const
     }
     if (best != nullptr)
         return best;
-    // Wildcard families ("bank*.accesses") match the whole name or any
+    // Wildcard families ("lat.*.count") match the whole name or any
     // '.'-boundary suffix of it, like the literal suffix lookup above.
     for (const StatDecl &w : wilds) {
         for (std::size_t at = 0;;) {

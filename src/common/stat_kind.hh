@@ -31,7 +31,7 @@
  * SIM_STAT_GATED names the feature flag under which the stat is
  * exported; with every knob off it must not appear.  Declared names
  * may contain '*' wildcards for dynamically composed families
- * ("bank*.accesses", "lat.*_p95").
+ * ("lat.*.count", "lat.*_p95").
  *
  * sim/metrics.cc asks StatKindRegistry (never a hard-coded name list)
  * how to window each entry.  The StatContract test in

@@ -94,7 +94,6 @@ class CoreModel
     Cycle windowCycles() const { return cycle - windowStart; }
 
     CoreId id() const { return coreId; }
-    PageTable &pageTable() { return pt; }
     TlbHierarchy &tlbs() { return tlb; }
     TagePredictor &branchPredictor() { return bp; }
 

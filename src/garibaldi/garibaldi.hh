@@ -63,9 +63,7 @@ class Garibaldi : public LlcCompanion
     StatSet stats() const;
 
     PairTable &pairTable() { return pairs; }
-    DppnTable &dppnTable() { return dppn; }
     HelperTable &helperTable(CoreId core) { return *helpers.at(core); }
-    ThresholdUnit &thresholdUnit() { return thresh; }
     const GaribaldiParams &config() const { return params; }
 
     /** Pair-table + helper-table touches (for the energy model). */

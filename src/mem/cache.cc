@@ -119,6 +119,9 @@ Cache::checkedSetCount(const CacheParams &p)
 Cache::Cache(const CacheParams &params_)
     : params(params_), nSets(checkedSetCount(params_)),
       pending(params_.mshrs),
+      oracleSeen(params_.instrOracle
+                     ? std::make_unique<FlatLineMap<std::uint8_t>>()
+                     : nullptr),
       probeTags(makeZeroedArray<Addr>(std::size_t{nSets} * params_.assoc)),
       lineState(makeZeroedArray<std::uint8_t>(std::size_t{nSets} *
                                               params_.assoc)),
@@ -286,13 +289,15 @@ Cache::access(const MemAccess &acc)
     // Fig. 3(d) I-oracle: instructions always hit after first access and
     // occupy no capacity.
     if (params.instrOracle && acc.isInstr) {
-        if (!oracleSeen.insert(tag)) {
+        std::uint8_t &seen = oracleSeen->ref(tag);
+        if (seen) {
             if (!acc.isPrefetch) {
                 ++stat.hits;
                 ++stat.instrHits;
             }
             return true;
         }
+        seen = 1;
         if (!acc.isPrefetch) {
             ++stat.misses;
             ++stat.instrMisses;

@@ -10,12 +10,14 @@
  * with no heap object and no virtual call.  The pending-fill book and
  * the oracle's seen-set are open-addressed flat tables
  * (flat_tables.hh): no node allocation or hashing through
- * std::unordered_map on the access path.
+ * std::unordered_map on the access path.  Only an oracle cache builds
+ * the seen-set.
  */
 
 #ifndef GARIBALDI_MEM_CACHE_HH
 #define GARIBALDI_MEM_CACHE_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -282,12 +284,14 @@ class Cache
     CacheParams params;
     std::uint32_t nSets;
     // Members are constructed, and so allocate, in declaration order:
-    // the construction-written MSHR book and oracle set, then the zeroed
-    // frame arrays, then the policy.  Constructing the policy first
-    // measured up to 0.6 MB more peak RSS (fig11_sweep) and slower
-    // System setup (spec8_lru) in the benchmark.
+    // the construction-written MSHR book, then the zeroed frame arrays,
+    // then the policy.  Constructing the policy first measured up to
+    // 0.6 MB more peak RSS (fig11_sweep) and slower System setup
+    // (spec8_lru) in the benchmark.
     PendingTable pending;
-    FlatLineSet oracleSeen;
+    /** I-oracle: instruction lines touched so far (1 = seen); built
+     *  only when params.instrOracle is set. */
+    std::unique_ptr<FlatLineMap<std::uint8_t>> oracleSeen;
     /**
      * SoA frame metadata, indexed by frameIndex().  probeTags holds the
      * line number | kValidTag, or 0 for an invalid frame: the per-access

@@ -65,7 +65,7 @@ constexpr std::uint64_t kNoOpenRow =
 
 Dram::Dram(const DramParams &params_)
     : params(params_),
-      busyUntil(std::size_t{params_.channels} * params_.channelPorts, 0),
+      busyUntil(params_.channels, 0),
       lastArrival(params_.channels, 0),
       openRow(params_.channels, kNoOpenRow),
       busDir(params_.channels, -1),
@@ -73,8 +73,6 @@ Dram::Dram(const DramParams &params_)
 {
     if (params.channels == 0)
         fatal("DRAM needs at least one channel");
-    if (params.channelPorts == 0)
-        fatal("DRAM channels need at least one transfer slot");
     if (params.rowModelOn() && params.baseLatency < 3)
         fatal("DRAM row-buffer split needs baseLatency >= 3 (the "
               "hit/miss/conflict thirds collapse below that)");
@@ -117,18 +115,10 @@ DramAccess
 Dram::request(Addr line_addr, bool is_write, Cycle now)
 {
     std::uint32_t ch = channelOf(line_addr);
-    Cycle *slots = &busyUntil[std::size_t{ch} * params.channelPorts];
+    Cycle &busy = busyUntil[ch];
 
-    // Earliest-free slot wins; ties break on the lowest index so the
-    // model is deterministic for any access order the simulator's
-    // global-time heap produces.
-    std::uint32_t best = 0;
-    for (std::uint32_t i = 1; i < params.channelPorts; ++i)
-        if (slots[i] < slots[best])
-            best = i;
-
-    // Bus-direction turnaround: the penalty applies to the slot the
-    // transfer wins, so an idle gap longer than the penalty absorbs it
+    // Bus-direction turnaround: the penalty applies from the channel's
+    // busy horizon, so an idle gap longer than the penalty absorbs it
     // (the bus turned around while nothing was queued).
     bool flip = params.turnaroundOn() && busDir[ch] >= 0 &&
                 (busDir[ch] == 1) != is_write;
@@ -140,78 +130,52 @@ Dram::request(Addr line_addr, bool is_write, Cycle now)
     // a same-cycle burst or an in-order backlog always queues FCFS (a
     // saturated channel's backlog is never written off as free), and
     // only a genuine straggler — issued more than kBackfillSlack behind
-    // the newest arrival seen — is served from the capacity the channel
-    // had back then.
-    Cycle queue = 0;
-    Cycle grant; // instant the transfer wins the wire
-    bool refresh_push = false; // the grant moved past a tRFC window
+    // the newest arrival seen — is charged from that newest arrival
+    // instead of its own issue time: it pays the backlog committed
+    // beyond the high-water mark, and reservations booked after its
+    // arrival do not read as its own queue.  Bandwidth is conserved
+    // either way: the transfer still takes serviceCycles of wire time.
     bool backfill = now + kBackfillSlack < lastArrival[ch];
+    Cycle charged_from = now;
     if (backfill) {
-        // Bandwidth is conserved: the straggler's transfer still takes
-        // serviceCycles of wire time, charged to the earliest slot
-        // without the max(now, busy) clamp — reservations booked after
-        // its arrival must not read as its own queue.  Its queue delay
-        // is the backlog already committed beyond the high-water mark:
-        // zero while the schedule has slack behind the newest arrival,
-        // the real queue depth once the channel is saturated.
-        // Turnaround quiet time and refresh pushes book real wire
-        // displacement, but the stall stats stay requester-visible —
-        // only the portion of the push that lands beyond the
-        // high-water mark is wait anyone experiences; the slack window
-        // absorbs the rest exactly like an in-order idle gap.
-        auto backlog = [this, ch](Cycle h) {
-            return h > lastArrival[ch] ? h - lastArrival[ch] : Cycle{0};
-        };
-        Cycle horizon = slots[best];
-        Cycle charged = backlog(horizon);
-        if (flip) {
-            horizon += params.turnaroundCycles;
-            ++nTurnarounds;
-            turnaroundStallCycles += backlog(horizon) - charged;
-            charged = backlog(horizon);
-        }
-        if (params.refreshOn()) {
-            Cycle aligned = afterRefresh(horizon);
-            refresh_push = aligned > horizon;
-            horizon = aligned;
-            if (backlog(horizon) > charged) {
-                ++nRefreshBlocked;
-                refreshStallCycles += backlog(horizon) - charged;
-            }
-        }
-        queue = backlog(horizon);
-        grant = horizon;
-        slots[best] = horizon + params.serviceCycles;
-        ++nBackfills;
-        backfillQueuedCycles += queue;
+        charged_from = lastArrival[ch];
+        // Every in-order grant books the horizon at least serviceCycles
+        // past its own arrival, so the horizon never trails the mark:
+        // the straggler's grant, queue and stall books below all start
+        // at or beyond it.
+        SIM_ASSERT(busy >= charged_from + params.serviceCycles,
+                   "dram: channel ", ch, " horizon ", busy,
+                   " trails its arrival high-water mark ", charged_from);
     } else {
         lastArrival[ch] = std::max(lastArrival[ch], now);
-        Cycle start = std::max(now, slots[best]);
-        if (flip) {
-            Cycle turned = std::max(now, slots[best] +
-                                             params.turnaroundCycles);
-            ++nTurnarounds;
-            turnaroundStallCycles += turned - start;
-            start = turned;
-        }
-        if (params.refreshOn()) {
-            Cycle aligned = afterRefresh(start);
-            if (aligned > start) {
-                ++nRefreshBlocked;
-                refreshStallCycles += aligned - start;
-                start = aligned;
-                refresh_push = true;
-            }
-        }
-        queue = start - now;
-        grant = start;
-        slots[best] = start + params.serviceCycles;
     }
+    Cycle grant = std::max(now, busy); // instant the transfer wins the wire
+    if (flip) {
+        Cycle turned = std::max(now, busy + params.turnaroundCycles);
+        ++nTurnarounds;
+        turnaroundStallCycles += turned - grant;
+        grant = turned;
+    }
+    bool refresh_push = false; // the grant moved past a tRFC window
+    if (params.refreshOn()) {
+        Cycle aligned = afterRefresh(grant);
+        if (aligned > grant) {
+            ++nRefreshBlocked;
+            refreshStallCycles += aligned - grant;
+            grant = aligned;
+            refresh_push = true;
+        }
+    }
+    Cycle queue = grant - charged_from;
+    if (backfill) {
+        ++nBackfills;
+        backfillQueuedCycles += queue;
+    }
+    busy = grant + params.serviceCycles;
     queuedCycles += queue;
     queueDelay.add(queue);
     // Both stall books are components of the queue delay a requester
-    // observed (backfills count only the push beyond the high-water
-    // mark), so their sums must stay subsets of queued_cycles or the
+    // observed, so their sums must stay subsets of queued_cycles or the
     // avg_queue_delay identity silently breaks.
     audit::checkStallSubset("dram", turnaroundStallCycles,
                             refreshStallCycles, queuedCycles);
@@ -247,12 +211,12 @@ Dram::request(Addr line_addr, bool is_write, Cycle now)
         openRow[ch] = row; // open-page policy: the row stays open
     }
 
-    // The slot end just booked — the instant the wire is really
+    // The transfer end just booked — the instant the wire is really
     // released.  On the backfill path this can sit far beyond
     // now + queue + serviceCycles (queue only counts the backlog past
     // the high-water mark), and MSHR books keyed on completesAt must
     // see the booked time, not the shorter request-path sum.
-    Cycle wire_end = slots[best];
+    Cycle wire_end = busy;
 
     DramAccess out;
     out.backfilled = backfill;

@@ -4,17 +4,17 @@
  * bandwidth queueing (Table 1: 2-channel DDR5-6400, 102.4 GB/s
  * aggregate, 49 ns access latency, memory-controller queuing modeled).
  *
- * Each channel owns @c channelPorts transfer slots (1 = the classic
- * scalar busy horizon); a transfer occupies the earliest-free slot for
- * @c serviceCycles.  Out-of-order arrivals are keyed on a per-channel
- * *arrival* high-water mark, exactly like the LLC bank arrays
- * (cache.hh): a genuine straggler — one issued more than kBackfillSlack
- * behind the newest arrival the channel has seen — backfills into the
- * capacity the channel had back then, but it still consumes a service
- * slot (bandwidth is conserved) and still pays queue delay equal to the
- * backlog booked beyond the high-water mark.  A saturated channel's
- * backlog is therefore never written off as free, and same-cycle bursts
- * always queue FCFS; only the skew-tolerance window rides cheap.
+ * Each channel keeps one busy horizon: a transfer holds the wire for
+ * @c serviceCycles from its grant.  Out-of-order arrivals are keyed on
+ * a per-channel *arrival* high-water mark, exactly like the LLC bank
+ * arrays (cache.hh): a genuine straggler — one issued more than
+ * kBackfillSlack behind the newest arrival the channel has seen —
+ * still books its transfer at the horizon (bandwidth is conserved),
+ * but pays as queue delay only the backlog booked beyond the
+ * high-water mark, not the gap back to its own issue time.  A
+ * saturated channel's backlog is therefore never written off as free,
+ * and same-cycle bursts always queue FCFS; only the skew-tolerance
+ * window rides cheap.
  *
  * Three opt-in timing legs refine the flat device latency (all default
  * 0 = off, keeping every output byte-identical to the flat model):
@@ -26,7 +26,7 @@
  *    (activate+CAS), so hit < miss < conflict by construction.
  *  - Read↔write turnaround (@c turnaroundCycles): flipping a channel's
  *    bus direction delays the transfer's grant by the penalty relative
- *    to the slot it wins; an idle gap absorbs it.
+ *    to the channel's busy horizon; an idle gap absorbs it.
  *  - Refresh (@c refreshIntervalCycles / @c refreshPenaltyCycles):
  *    every tREFI the whole channel blocks for tRFC — no transfer may
  *    start inside the window — and the blast closes the open row.
@@ -58,13 +58,6 @@ struct DramParams
     Cycle baseLatency = 147;
     /** Channel occupancy per 64 B transfer (51.2 GB/s/ch @ 3 GHz). */
     Cycle serviceCycles = 4;
-    /**
-     * Concurrent transfer slots per channel.  1 (the default) keeps the
-     * historical scalar next-free horizon; more slots model a channel
-     * that overlaps transfers (e.g. bank-group parallelism) without
-     * changing the per-transfer service time.
-     */
-    std::uint32_t channelPorts = 1;
     /**
      * Row-buffer geometry: line-address bits sharing one DRAM row, so
      * lines-per-row = 2^rowBits (7 = 8 KB rows of 64 B lines).  0 (the
@@ -114,9 +107,9 @@ struct DramAccess
     Cycle latency = 0;
     /**
      * Instant the transfer completes: wire released for writes, data
-     * available for reads — never earlier than the booked service-slot
+     * available for reads — never earlier than the booked transfer
      * end, even on the backfill path, so MSHR books keyed on this see
-     * the real channel backpressure the slot vector committed to.
+     * the real channel backpressure the busy horizon committed to.
      */
     Cycle completesAt = 0;
     /** Served via the out-of-order backfill path. */
@@ -185,7 +178,7 @@ class Dram
     Cycle afterRefresh(Cycle t) const;
 
     DramParams params;
-    /** Per-channel slot busy-until, flattened [channel * ports]. */
+    /** Per-channel busy-until: the end of the last booked transfer. */
     std::vector<Cycle> busyUntil;
     /** Per-channel newest arrival seen (the backfill ordering key). */
     std::vector<Cycle> lastArrival;

@@ -4,15 +4,17 @@
  * path, replacing the std::unordered_map/set structures that dominated
  * lookup cost:
  *
- *  - PendingTable:        line → fill-ready cycle (the MSHR book),
- *  - FlatLineSet:         set of line numbers (the I-oracle's memory),
+ *  - FlatLineMap:          line → value map (the I-oracle's memory,
+ *                          directory and monitor books),
+ *  - PendingTable:         line → fill-ready cycle (the MSHR book),
  *  - DecayingCounterTable: bounded line → saturating counter map with
- *                          periodic decay (instruction criticality).
+ *                          periodic decay (instruction criticality),
+ *                          a wrapper over FlatLineMap.
  *
- * All three use linear probing over power-of-two arrays keyed by line
- * number.  Line numbers are physical addresses shifted right by
- * kLineShift, so they are < 2^58 and the two all-ones sentinels can
- * never collide with a real key.
+ * FlatLineMap and PendingTable use linear probing over power-of-two
+ * arrays keyed by line number.  Line numbers are physical addresses
+ * shifted right by kLineShift, so they are < 2^58 and the two all-ones
+ * sentinels can never collide with a real key.
  */
 
 #ifndef GARIBALDI_MEM_FLAT_TABLES_HH
@@ -48,69 +50,6 @@ tableCapacity(std::size_t expected)
 }
 
 } // namespace flat
-
-/** Open-addressed insert-only set of line numbers. */
-class FlatLineSet
-{
-  public:
-    explicit FlatLineSet(std::size_t expected = 1024)
-        : keys(flat::tableCapacity(expected), flat::kEmptyKey)
-    {
-    }
-
-    bool
-    contains(Addr key) const
-    {
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key)
-                return true;
-            i = (i + 1) & mask;
-        }
-        return false;
-    }
-
-    /** @return true when @p key was newly inserted. */
-    bool
-    insert(Addr key)
-    {
-        if ((filled + 1) * 4 >= keys.size() * 3)
-            grow();
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key)
-                return false;
-            i = (i + 1) & mask;
-        }
-        keys[i] = key;
-        ++filled;
-        return true;
-    }
-
-    std::size_t size() const { return filled; }
-
-  private:
-    void
-    grow()
-    {
-        std::vector<Addr> old(keys.size() * 2, flat::kEmptyKey);
-        old.swap(keys);
-        std::size_t mask = keys.size() - 1;
-        for (Addr k : old) {
-            if (k == flat::kEmptyKey)
-                continue;
-            std::size_t i = static_cast<std::size_t>(mix64(k)) & mask;
-            while (keys[i] != flat::kEmptyKey)
-                i = (i + 1) & mask;
-            keys[i] = k;
-        }
-    }
-
-    std::vector<Addr> keys;
-    std::size_t filled = 0;
-};
 
 /**
  * Open-addressed line → value map with erase support (directory
@@ -499,8 +438,8 @@ class DecayingCounterTable
 {
   public:
     explicit DecayingCounterTable(std::size_t entries)
-        : keys(flat::tableCapacity(entries), flat::kEmptyKey),
-          counts(flat::tableCapacity(entries), 0)
+        : counts(entries), limit(flat::tableCapacity(entries) * 3 / 4),
+          expected(entries)
     {
     }
 
@@ -508,68 +447,38 @@ class DecayingCounterTable
     std::uint8_t
     increment(Addr key)
     {
-        std::size_t mask = keys.size() - 1;
-        std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-        while (keys[i] != flat::kEmptyKey) {
-            if (keys[i] == key) {
-                if (counts[i] < 255)
-                    ++counts[i];
-                return counts[i];
-            }
-            i = (i + 1) & mask;
+        if (std::uint8_t *c = counts.find(key)) {
+            if (*c < 255)
+                ++*c;
+            return *c;
         }
-        if ((filled + 1) * 4 >= keys.size() * 3) {
+        // Below the map's own 3/4 growth point, so it never grows.
+        if (counts.size() + 1 >= limit) {
             decay();
-            // Re-probe: decay moved survivors around.
-            i = static_cast<std::size_t>(mix64(key)) & mask;
-            while (keys[i] != flat::kEmptyKey) {
-                if (keys[i] == key) {
-                    if (counts[i] < 255)
-                        ++counts[i];
-                    return counts[i];
-                }
-                i = (i + 1) & mask;
-            }
-            if ((filled + 1) * 4 >= keys.size() * 3)
+            if (counts.size() + 1 >= limit)
                 return 1; // still saturated: observe without tracking
         }
-        keys[i] = key;
-        counts[i] = 1;
-        ++filled;
-        return 1;
+        return counts.ref(key) = 1;
     }
 
-    std::size_t size() const { return filled; }
+    std::size_t size() const { return counts.size(); }
 
   private:
+    /** Halve every count, dropping those that reach zero. */
     void
     decay()
     {
-        std::vector<Addr> old_keys(keys.size(), flat::kEmptyKey);
-        std::vector<std::uint8_t> old_counts(keys.size(), 0);
-        old_keys.swap(keys);
-        old_counts.swap(counts);
-        filled = 0;
-        std::size_t mask = keys.size() - 1;
-        for (std::size_t i = 0; i < old_keys.size(); ++i) {
-            if (old_keys[i] == flat::kEmptyKey)
-                continue;
-            std::uint8_t halved = old_counts[i] >> 1;
-            if (halved == 0)
-                continue;
-            std::size_t j =
-                static_cast<std::size_t>(mix64(old_keys[i])) & mask;
-            while (keys[j] != flat::kEmptyKey)
-                j = (j + 1) & mask;
-            keys[j] = old_keys[i];
-            counts[j] = halved;
-            ++filled;
-        }
+        FlatLineMap<std::uint8_t> halved(expected);
+        counts.forEach([&](Addr k, std::uint8_t c) {
+            if (c >> 1)
+                halved.ref(k) = c >> 1;
+        });
+        counts = std::move(halved);
     }
 
-    std::vector<Addr> keys;
-    std::vector<std::uint8_t> counts;
-    std::size_t filled = 0;
+    FlatLineMap<std::uint8_t> counts;
+    std::size_t limit;    //!< fixed 3/4-of-capacity occupancy bound
+    std::size_t expected; //!< construction size, reused by decay()
 };
 
 } // namespace garibaldi

@@ -47,13 +47,6 @@ ObsSubsystem::ObsSubsystem(const ObsConfig &cfg_,
         telemetry_ = std::make_unique<TelemetrySink>(cfg, num_cores);
 }
 
-void
-ObsSubsystem::startMeasurement()
-{
-    if (tracer_)
-        tracer_->setMeasuring(true);
-}
-
 namespace
 {
 

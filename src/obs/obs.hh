@@ -40,9 +40,6 @@ class ObsSubsystem
     /** The telemetry sink, or null when telemetry is off. */
     TelemetrySink *telemetry() { return telemetry_.get(); }
 
-    /** Open the capture gate (called when the detailed window starts). */
-    void startMeasurement();
-
     /**
      * Write the configured artifacts: Chrome trace JSON + sibling CSV
      * and/or the telemetry JSONL.  fatal() when a path is unwritable.

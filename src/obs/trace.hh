@@ -105,7 +105,6 @@ class Tracer
      * window events only.
      */
     void setMeasuring(bool on) { measuring_ = on; }
-    bool measuring() const { return measuring_; }
 
     /** Hot-path hook: count every finished transaction, keep 1-in-N. */
     void

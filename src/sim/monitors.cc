@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/intmath.hh"
 #include "common/stat_kind.hh"
 
 namespace garibaldi
@@ -28,15 +27,6 @@ SIM_STATS(PairingMonitor,
     SIM_STAT("instr_missrate_datacold", gauge),
     SIM_STAT("data_sharing_degree", gauge),
     SIM_STAT("tracked_instr_lines", gauge));
-
-SIM_STATS(BankQueueMonitor,
-    SIM_STAT("banks", gauge),
-    SIM_STAT("access_imbalance", histogram_summary),
-    SIM_STAT("mean_queue_delay", histogram_summary),
-    SIM_STAT("bank*.accesses", counter),
-    SIM_STAT("bank*.hits", counter),
-    SIM_STAT("bank*.queued_accesses", counter),
-    SIM_STAT("bank*.queue_cycles", counter));
 
 ReuseDistanceMonitor::ReuseDistanceMonitor(std::uint32_t llc_sets,
                                            unsigned sample_shift)
@@ -224,83 +214,6 @@ PairingMonitor::stats() const
     s.add("instr_missrate_datacold", instrMissRateDataCold());
     s.add("data_sharing_degree", dataSharingDegree());
     s.add("tracked_instr_lines", static_cast<double>(instrLines.size()));
-    return s;
-}
-
-BankQueueMonitor::BankQueueMonitor(std::uint32_t num_banks,
-                                   std::uint32_t interleave_shift)
-    : banks(num_banks == 0 ? 1 : num_banks),
-      interleaveShift(interleave_shift),
-      bankMask((num_banks == 0 ? 1 : num_banks) - 1)
-{
-    // Same geometry contract as LlcBankSet: the mask-based mapping is
-    // only a partition for power-of-two bank counts.
-    if (num_banks > 0)
-        checkPowerOf2(num_banks, "BankQueueMonitor bank count");
-}
-
-std::uint32_t
-BankQueueMonitor::bankOf(Addr line_addr) const
-{
-    return static_cast<std::uint32_t>(
-        (lineNumber(line_addr) >> interleaveShift) & bankMask);
-}
-
-void
-BankQueueMonitor::onLlcAccess(const Transaction &txn, bool hit)
-{
-    BankCounters &b = banks[bankOf(txn.lineAddr)];
-    ++b.accesses;
-    if (hit)
-        ++b.hits;
-    if (txn.queueCycles > 0) {
-        ++b.queuedAccesses;
-        b.queueCycles += txn.queueCycles;
-    }
-}
-
-double
-BankQueueMonitor::accessImbalance() const
-{
-    std::uint64_t total = 0, peak = 0;
-    for (const BankCounters &b : banks) {
-        total += b.accesses;
-        peak = std::max(peak, b.accesses);
-    }
-    if (total == 0)
-        return 1.0;
-    double mean = static_cast<double>(total) / banks.size();
-    return static_cast<double>(peak) / mean;
-}
-
-double
-BankQueueMonitor::meanQueueDelay() const
-{
-    std::uint64_t total = 0, cycles = 0;
-    for (const BankCounters &b : banks) {
-        total += b.accesses;
-        cycles += b.queueCycles;
-    }
-    return total ? static_cast<double>(cycles) / total : 0.0;
-}
-
-StatSet
-BankQueueMonitor::stats() const
-{
-    StatSet s;
-    s.add("banks", static_cast<double>(banks.size()));
-    s.add("access_imbalance", accessImbalance());
-    s.add("mean_queue_delay", meanQueueDelay());
-    for (std::size_t b = 0; b < banks.size(); ++b) {
-        std::string prefix = "bank" + std::to_string(b) + ".";
-        s.add(prefix + "accesses",
-              static_cast<double>(banks[b].accesses));
-        s.add(prefix + "hits", static_cast<double>(banks[b].hits));
-        s.add(prefix + "queued_accesses",
-              static_cast<double>(banks[b].queuedAccesses));
-        s.add(prefix + "queue_cycles",
-              static_cast<double>(banks[b].queueCycles));
-    }
     return s;
 }
 

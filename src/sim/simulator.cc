@@ -26,15 +26,11 @@ SimResult::ipcSum() const
 double
 SimResult::ipcHarmonicMean() const
 {
-    if (cores.empty())
-        return 0;
-    double denom = 0;
-    for (const auto &c : cores) {
-        if (c.ipc <= 0)
-            return 0;
-        denom += 1.0 / c.ipc;
-    }
-    return static_cast<double>(cores.size()) / denom;
+    std::vector<double> ipcs;
+    ipcs.reserve(cores.size());
+    for (const auto &c : cores)
+        ipcs.push_back(c.ipc);
+    return harmonicMean(ipcs);
 }
 
 CpiStack
@@ -123,7 +119,7 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
         if (telemetry && when >= telemetry->dueAt())
             telemetrySample(*telemetry, when);
         CoreModel &core = sys.core(c);
-        MicroOpStream &stream = sys.stream(c);
+        SynthWorkload &stream = sys.stream(c);
         Cycle horizon = (heap.empty() ? core.now() + 100000
                                       : heap.top().first) + kHysteresis;
         while (remaining[c] > 0 && core.now() <= horizon) {

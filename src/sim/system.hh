@@ -33,7 +33,7 @@ class System
 
     MemoryHierarchy &hierarchy() { return *mem; }
     CoreModel &core(CoreId c) { return *cores.at(c); }
-    MicroOpStream &stream(CoreId c) { return *streams.at(c); }
+    SynthWorkload &stream(CoreId c) { return *streams.at(c); }
     Garibaldi *garibaldi() { return gari.get(); }
     /** Observability subsystem; null when every obs knob is off. */
     ObsSubsystem *obs() { return obsSub.get(); }

@@ -70,12 +70,10 @@ SystemConfig::summary() const
     // Printed only off the Table 1 defaults so historical bench
     // headers stay untouched.
     DramParams dflt{};
-    if (dram.channels != dflt.channels ||
-        dram.channelPorts != dflt.channelPorts || dramFedLlcMshrs ||
+    if (dram.channels != dflt.channels || dramFedLlcMshrs ||
         dram.rowModelOn() || dram.turnaroundOn() ||
         dram.refreshIntervalCycles > 0) {
-        os << " dram(ch=" << dram.channels << ",ports="
-           << dram.channelPorts;
+        os << " dram(ch=" << dram.channels;
         if (dram.rowModelOn())
             os << ",rowbits=" << dram.rowBits;
         if (dram.turnaroundOn())

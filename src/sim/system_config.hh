@@ -87,10 +87,10 @@ struct SystemConfig
     GaribaldiParams garibaldi{};
 
     /**
-     * DRAM geometry and timing (mem/dram.hh): channels/channelPorts
-     * plus the opt-in first-order DDR5 timing legs — rowBits (row-
-     * buffer hit/miss/conflict split), turnaroundCycles (read<->write
-     * bus turnaround) and refreshIntervalCycles/refreshPenaltyCycles
+     * DRAM geometry and timing (mem/dram.hh): channels plus the opt-in
+     * first-order DDR5 timing legs — rowBits (row-buffer
+     * hit/miss/conflict split), turnaroundCycles (read<->write bus
+     * turnaround) and refreshIntervalCycles/refreshPenaltyCycles
      * (tREFI/tRFC blocking).  All timing legs default 0 = off, keeping
      * output byte-identical to the flat-latency model.
      */

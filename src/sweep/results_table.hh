@@ -48,14 +48,6 @@ class ResultsTable
 
     std::size_t rowCount() const { return rows_.size(); }
     const Row &row(std::size_t i) const;
-    const std::vector<std::string> &coordColumns() const
-    {
-        return coordCols;
-    }
-    const std::vector<std::string> &metricColumns() const
-    {
-        return metricCols;
-    }
 
     /** Rows matching every (column, value) pair of @p sel. */
     std::vector<const Row *> select(const CoordSelector &sel) const;

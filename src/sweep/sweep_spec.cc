@@ -98,34 +98,12 @@ SweepSpec::llcBankServiceCycles(const std::vector<Cycle> &cycles)
 }
 
 SweepSpec &
-SweepSpec::llcBankPorts(const std::vector<std::uint32_t> &ports)
-{
-    SweepAxis ax{"ports", {}};
-    for (std::uint32_t n : ports)
-        ax.values.push_back({std::to_string(n), [n](SweepPoint &p) {
-                                 p.config.llcBankPorts = n;
-                             }});
-    return axis(std::move(ax));
-}
-
-SweepSpec &
 SweepSpec::dramChannels(const std::vector<std::uint32_t> &channels)
 {
     SweepAxis ax{"dramch", {}};
     for (std::uint32_t n : channels)
         ax.values.push_back({std::to_string(n), [n](SweepPoint &p) {
                                  p.config.dram.channels = n;
-                             }});
-    return axis(std::move(ax));
-}
-
-SweepSpec &
-SweepSpec::dramChannelPorts(const std::vector<std::uint32_t> &ports)
-{
-    SweepAxis ax{"dramports", {}};
-    for (std::uint32_t n : ports)
-        ax.values.push_back({std::to_string(n), [n](SweepPoint &p) {
-                                 p.config.dram.channelPorts = n;
                              }});
     return axis(std::move(ax));
 }

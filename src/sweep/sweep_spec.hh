@@ -95,13 +95,8 @@ class SweepSpec
     llcBankInterleaveShift(const std::vector<std::uint32_t> &shifts);
     /** Per-bank contention service cycles ("svc"; 0 = model off). */
     SweepSpec &llcBankServiceCycles(const std::vector<Cycle> &cycles);
-    /** Ports per bank array ("ports"). */
-    SweepSpec &llcBankPorts(const std::vector<std::uint32_t> &ports);
     /** DRAM channel count ("dramch"). */
     SweepSpec &dramChannels(const std::vector<std::uint32_t> &channels);
-    /** Transfer slots per DRAM channel ("dramports"). */
-    SweepSpec &
-    dramChannelPorts(const std::vector<std::uint32_t> &ports);
     /** DRAM row-buffer bits ("rowbits"; 0 = split off). */
     SweepSpec &dramRowBits(const std::vector<std::uint32_t> &bits);
     /** DRAM read<->write turnaround cycles ("turn"; 0 = off). */

@@ -31,9 +31,6 @@ class DataSpace
     /** Draw a byte address from the given class. */
     Addr sample(DataClass cls, Pcg32 &rng);
 
-    /** Base of the hot region (preferred-line anchoring). */
-    Addr hotBase() const { return kHotBase; }
-
     std::uint64_t hotLines() const { return hotLineCount; }
     std::uint64_t warmLines() const { return warmLineCount; }
     std::uint64_t streamLines() const { return streamLineCount; }

@@ -7,8 +7,6 @@
 #ifndef GARIBALDI_WORKLOADS_MICROOP_HH
 #define GARIBALDI_WORKLOADS_MICROOP_HH
 
-#include <cstddef>
-
 #include "common/types.hh"
 
 namespace garibaldi
@@ -26,31 +24,6 @@ struct MicroOp
     bool branchTaken = false;
     bool isIndirect = false; //!< indirect call/jump (ITTAGE/BTB path)
     Addr branchTarget = 0;   //!< resolved target when taken/indirect
-};
-
-/** Pull-based instruction stream (implemented by the workload engine). */
-class MicroOpStream
-{
-  public:
-    virtual ~MicroOpStream() = default;
-
-    /** Produce the next retired instruction. */
-    virtual MicroOp next() = 0;
-
-    /**
-     * Produce the next @p n instructions into @p out — identical to
-     * @p n calls of next(), but one virtual crossing per chunk (the
-     * driver-side half of the batched submission path).
-     */
-    virtual void
-    fill(MicroOp *out, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = next();
-    }
-
-    /** Stream name for reports. */
-    virtual const char *name() const = 0;
 };
 
 } // namespace garibaldi

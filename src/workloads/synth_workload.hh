@@ -10,6 +10,7 @@
 #ifndef GARIBALDI_WORKLOADS_SYNTH_WORKLOAD_HH
 #define GARIBALDI_WORKLOADS_SYNTH_WORKLOAD_HH
 
+#include <cstddef>
 #include <memory>
 
 #include "common/rng.hh"
@@ -22,7 +23,7 @@ namespace garibaldi
 {
 
 /** A deterministic, infinite MicroOp stream for one workload instance. */
-class SynthWorkload : public MicroOpStream
+class SynthWorkload
 {
   public:
     /** Virtual PC of the dispatcher loop. */
@@ -37,12 +38,25 @@ class SynthWorkload : public MicroOpStream
      */
     SynthWorkload(const WorkloadParams &params, std::uint64_t seed);
 
-    MicroOp next() override;
-    const char *name() const override { return p.name.c_str(); }
+    /** Produce the next retired instruction. */
+    MicroOp next();
+
+    /**
+     * Produce the next @p n instructions into @p out — identical to
+     * @p n calls of next(); the simulator pulls micro-ops in chunks.
+     */
+    void
+    fill(MicroOp *out, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = next();
+    }
+
+    /** Stream name for reports. */
+    const char *name() const { return p.name.c_str(); }
 
     const WorkloadParams &params() const { return p; }
     const CodeLayout &layout() const { return code; }
-    const DataSpace &dataSpace() const { return data; }
 
   private:
     enum class Phase : std::uint8_t { Dispatch, Block };

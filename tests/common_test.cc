@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/cli.hh"
 #include "common/histogram.hh"
@@ -304,6 +305,45 @@ TEST(Cli, DefaultsSurvive)
     const char *argv[] = {"prog"};
     p.parse(1, argv);
     EXPECT_EQ(p.getInt("n"), 5);
+}
+
+TEST(Cli, HexIntegersParse)
+{
+    ArgParser p("test");
+    p.addInt("n", 5, "count");
+    const char *argv[] = {"prog", "--n", "0x10"};
+    p.parse(3, argv);
+    EXPECT_EQ(p.getInt("n"), 16);
+}
+
+/** Parse "--<name> <value>" against an int "n" and a double "f". */
+void
+parseOne(const char *name, const char *value)
+{
+    ArgParser p("test");
+    p.addInt("n", 5, "count");
+    p.addDouble("f", 1.5, "factor");
+    std::string flag = std::string("--") + name;
+    const char *argv[] = {"prog", flag.c_str(), value};
+    p.parse(3, argv);
+}
+
+TEST(Cli, RejectsMalformedNumbers)
+{
+    // Trailing garbage used to parse as its numeric prefix ("5e4" -> 5)
+    // and non-numbers as 0; now each is an error, exit 1.
+    EXPECT_EXIT(parseOne("n", "5e4"), testing::ExitedWithCode(1),
+                "error: --n value '5e4' is not an integer");
+    EXPECT_EXIT(parseOne("n", "abc"), testing::ExitedWithCode(1),
+                "is not an integer");
+    EXPECT_EXIT(parseOne("n", ""), testing::ExitedWithCode(1),
+                "is not an integer");
+    EXPECT_EXIT(parseOne("n", "99999999999999999999"),
+                testing::ExitedWithCode(1), "is out of range");
+    EXPECT_EXIT(parseOne("f", "1.5x"), testing::ExitedWithCode(1),
+                "error: --f value '1.5x' is not a number");
+    EXPECT_EXIT(parseOne("f", "1e999"), testing::ExitedWithCode(1),
+                "is out of range");
 }
 
 } // namespace

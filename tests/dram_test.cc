@@ -3,7 +3,7 @@
  * DRAM channel-contention unit suite: FCFS queue math, posted-write
  * semantics, arrival-high-water-mark backfill keying (same-cycle
  * bursts and saturated backlogs are never written off as free),
- * multi-slot channel capacity, channel-mapping reductions, the
+ * channel-mapping reductions, the
  * cumulative-vs-windowed queue-delay identity, DRAM-fed LLC MSHR
  * residency, and --jobs determinism with every new knob enabled.
  *
@@ -33,12 +33,11 @@ namespace
 {
 
 DramParams
-oneChannel(Cycle svc = 4, std::uint32_t ports = 1)
+oneChannel(Cycle svc = 4)
 {
     DramParams p;
     p.channels = 1;
     p.serviceCycles = svc;
-    p.channelPorts = ports;
     return p;
 }
 
@@ -154,34 +153,7 @@ TEST(Dram, BackfillConsumesBandwidth)
 }
 
 // --------------------------------------------------------------------
-// Multi-slot channels
-// --------------------------------------------------------------------
-
-TEST(Dram, MultiSlotChannelOverlapsTransfers)
-{
-    DramParams p = oneChannel(4, 2);
-    Dram d(p);
-    EXPECT_EQ(d.request(line(0), false, 100).latency, p.baseLatency);
-    EXPECT_EQ(d.request(line(1), false, 100).latency, p.baseLatency);
-    // Third same-cycle transfer waits for the earliest slot.
-    EXPECT_EQ(d.request(line(2), false, 100).latency, p.baseLatency + 4);
-}
-
-TEST(Dram, BackfillUsesFreeSlotCapacity)
-{
-    DramParams p = oneChannel(4, 2);
-    Dram d(p);
-    d.request(line(0), false, 10000); // slot 0 busy until 10004
-    // The straggler finds slot 1 idle behind the high-water mark: the
-    // channel genuinely had capacity back then, so no queue at all.
-    DramAccess r = d.request(line(1), false, 100);
-    EXPECT_TRUE(r.backfilled);
-    EXPECT_EQ(r.latency, p.baseLatency);
-    EXPECT_EQ(d.stats().get("queued_cycles"), 0.0);
-}
-
-// --------------------------------------------------------------------
-// completesAt keys on the booked slot end (backfill bugfix)
+// completesAt keys on the booked transfer end (backfill bugfix)
 // --------------------------------------------------------------------
 
 TEST(Dram, BackfillCompletesAtIsBookedSlotEnd)
@@ -193,13 +165,14 @@ TEST(Dram, BackfillCompletesAtIsBookedSlotEnd)
     // charged queue is only the backlog past the high-water mark
     // (4 cycles).  The old report keyed completesAt on now + queue +
     // serviceCycles = 108 — releasing DRAM-fed MSHR entries almost
-    // 10k cycles before the wire time the slot vector committed to.
+    // 10k cycles before the wire time the channel committed to.
     DramAccess r = d.request(line(1), false, 100);
     ASSERT_TRUE(r.backfilled);
     EXPECT_EQ(r.latency, p.baseLatency + 4);
     EXPECT_EQ(r.completesAt, 10008u);
 
-    // A backfilled posted write books the next slot end the same way.
+    // A backfilled posted write books the next transfer end the same
+    // way.
     DramAccess w = d.request(line(2), true, 100);
     ASSERT_TRUE(w.backfilled);
     EXPECT_EQ(w.latency, 0u);
@@ -208,16 +181,19 @@ TEST(Dram, BackfillCompletesAtIsBookedSlotEnd)
 
 TEST(Dram, BackfillCompletesAtNeverPrecedesDataReturn)
 {
-    // With free capacity behind the high-water mark the booked slot
-    // ends long before the device latency elapses: completesAt is the
+    // A straggler just past the slack window books the wire 1004 -> 1008
+    // behind the t=1000 transfer, but its data returns later than that:
+    // issued at 900 and charged the 4-cycle backlog past the high-water
+    // mark, it sees data at 900 + 4 + baseLatency.  completesAt is the
     // later of the two (data availability for reads).
-    DramParams p = oneChannel(4, 2);
+    DramParams p = oneChannel();
     Dram d(p);
-    d.request(line(0), false, 10000);
-    DramAccess r = d.request(line(1), false, 100);
+    d.request(line(0), false, 1000);
+    DramAccess r = d.request(line(1), false, 900);
     ASSERT_TRUE(r.backfilled);
-    EXPECT_EQ(r.latency, p.baseLatency);
-    EXPECT_EQ(r.completesAt, 100 + p.baseLatency);
+    EXPECT_EQ(r.latency, p.baseLatency + 4);
+    EXPECT_GT(900 + r.latency, 1008u);
+    EXPECT_EQ(r.completesAt, 900 + r.latency);
 }
 
 TEST(Dram, InOrderCompletesAtUnchanged)
@@ -404,48 +380,51 @@ TEST(DramTiming, RefreshStallGrantedPastBlastIsRowMiss)
     EXPECT_EQ(s.get("row_misses"), 2.0);
 }
 
-TEST(DramTiming, BackfillTurnaroundAbsorbedBySlack)
+TEST(DramTiming, BackfillTurnaroundLandsInQueue)
 {
-    // A backfilled flip books the bus-quiet time into the slot, but
-    // the stall stats stay requester-visible: the slack behind the
-    // arrival high-water mark absorbs the push exactly like an
-    // in-order idle gap, keeping turnaround_cycles a subset of
-    // queued_cycles on both paths.
-    DramParams p = oneChannel(4, 2);
+    // A backfilled flip books the bus-quiet time after the channel's
+    // horizon, which lies beyond the arrival high-water mark, so the
+    // straggler waits for all of it: turnaround_cycles stays a subset
+    // of queued_cycles on the backfill path as on the in-order one.
+    DramParams p = oneChannel();
     p.turnaroundCycles = 12;
     Dram d(p);
-    d.request(line(0), true, 10000); // write: slot 0, busDir = W
-    DramAccess r = d.request(line(1), false, 100); // flip, idle slot 1
+    d.request(line(0), true, 10000); // write: busy until 10004, busDir = W
+    DramAccess r = d.request(line(1), false, 100); // flip, straggler
     ASSERT_TRUE(r.backfilled);
-    EXPECT_EQ(r.latency, p.baseLatency);
+    EXPECT_TRUE(r.turned);
+    EXPECT_EQ(r.latency,
+              p.baseLatency + p.serviceCycles + p.turnaroundCycles);
     StatSet s = d.stats();
-    EXPECT_EQ(s.get("turnarounds"), 1.0); // the flip still happened
-    EXPECT_EQ(s.get("turnaround_cycles"), 0.0);
-    EXPECT_EQ(s.get("queued_cycles"), 0.0);
+    EXPECT_EQ(s.get("turnarounds"), 1.0);
+    EXPECT_EQ(s.get("turnaround_cycles"), 12.0);
+    EXPECT_EQ(s.get("queued_cycles"), 16.0);
+    EXPECT_LE(s.get("turnaround_cycles"), s.get("queued_cycles"));
 }
 
-TEST(DramTiming, BackfillRefreshPushAbsorbedBySlack)
+TEST(DramTiming, BackfillRefreshPushLandsInQueue)
 {
-    // Same requester-visible discipline for refresh on the backfill
-    // path: the push books real wire displacement (visible through
-    // completesAt, the booked slot end) but charges no stall while it
-    // stays inside the slack behind the high-water mark.
-    DramParams p = oneChannel(4, 2);
+    // Same discipline for refresh on the backfill path: the push books
+    // real wire displacement (visible through completesAt, the booked
+    // transfer end) and, lying beyond the high-water mark, is charged
+    // as a stall inside the straggler's queue delay.
+    DramParams p = oneChannel();
     p.refreshIntervalCycles = 1000;
     p.refreshPenaltyCycles = 100;
     Dram d(p);
-    d.request(line(0), false, 996);   // slot 0 busy until 1000
-    d.request(line(1), false, 10500); // slot 1; high-water mark 10500
-    // The straggler wins slot 0 whose horizon (1000) sits inside the
-    // refresh window [1000, 1100): the transfer books 1100..1104, yet
-    // the 10.5k-cycle slack absorbs the push — nobody waited.
-    DramAccess r = d.request(line(2), false, 100);
-    ASSERT_TRUE(r.backfilled);
-    EXPECT_EQ(r.latency, p.baseLatency);
-    EXPECT_EQ(r.completesAt, 1104u); // displaced wire time is booked
+    d.request(line(0), false, 996); // busy until 1000; high-water 996
+    // The straggler's grant at the horizon (1000) sits inside the
+    // refresh window [1000, 1100): its posted write books 1100..1104.
+    DramAccess w = d.request(line(1), true, 900);
+    ASSERT_TRUE(w.backfilled);
+    EXPECT_TRUE(w.refreshStalled);
+    EXPECT_EQ(w.queue, 1100u - 996u);
+    EXPECT_EQ(w.completesAt, 1104u); // displaced wire time is booked
     StatSet s = d.stats();
-    EXPECT_EQ(s.get("refresh_blocked"), 0.0);
-    EXPECT_EQ(s.get("refresh_stall_cycles"), 0.0);
+    EXPECT_EQ(s.get("refresh_blocked"), 1.0);
+    EXPECT_EQ(s.get("refresh_stall_cycles"), 100.0);
+    EXPECT_EQ(s.get("queued_cycles"), 104.0);
+    EXPECT_LE(s.get("refresh_stall_cycles"), s.get("queued_cycles"));
 }
 
 TEST(DramTiming, RefreshClosesTheOpenRow)
@@ -638,9 +617,9 @@ TEST(Hierarchy, DramFedMshrsBookChannelCompletion)
 TEST(Hierarchy, DramFedMshrsHoldBackfilledFillsToBookedSlotEnd)
 {
     // A backfilled fill's MSHR entry must live until the wire time the
-    // channel's slot vector actually committed to (the completesAt
+    // channel actually committed to (the completesAt
     // bugfix), not the request-path sum: core 0 books the single
-    // channel at t=10000 (slot ends 10004), core 1's straggler miss at
+    // channel at t=10000 (transfer ends 10004), core 1's straggler miss at
     // t=100 backfills behind it — its fill occupies 10004..10008 and
     // the bank MSHR entry is held until 10008 plus the 40-cycle array
     // write.
@@ -718,9 +697,7 @@ TEST(DramSweep, JobsIndependenceWithDramKnobs)
     base.dramFedLlcMshrs = true;
 
     SweepSpec spec(base);
-    spec.dramChannels({1, 2})
-        .dramChannelPorts({1, 2})
-        .mixes({homogeneousMix("tpcc", 2)});
+    spec.dramChannels({1, 2}).mixes({homogeneousMix("tpcc", 2)});
 
     ExperimentContext ctx(base, 1000, 2000);
     SweepRunner runner(ctx);
@@ -737,13 +714,10 @@ TEST(DramSweep, JobsIndependenceWithDramKnobs)
 
     EXPECT_EQ(r1.toCsv(), r8.toCsv());
     EXPECT_EQ(r1.toJson(), r8.toJson());
-    ASSERT_EQ(r1.rowCount(), 4u);
-    // More channel slots can only shed queue delay: dramch=1/ports=1
-    // must be the worst point of the little grid.
-    double worst = r1.value({{"dramch", "1"}, {"dramports", "1"}},
-                            "dram_queue_delay");
-    double best = r1.value({{"dramch", "2"}, {"dramports", "2"}},
-                           "dram_queue_delay");
+    ASSERT_EQ(r1.rowCount(), 2u);
+    // A second channel can only shed queue delay.
+    double worst = r1.value({{"dramch", "1"}}, "dram_queue_delay");
+    double best = r1.value({{"dramch", "2"}}, "dram_queue_delay");
     EXPECT_GE(worst, best);
 }
 

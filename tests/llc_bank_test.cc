@@ -12,7 +12,6 @@
 #include "mem/hierarchy.hh"
 #include "mem/llc_bank_set.hh"
 #include "sim/experiment.hh"
-#include "sim/monitors.hh"
 #include "sweep/sweep_runner.hh"
 #include "sweep/sweep_spec.hh"
 #include "workloads/catalog.hh"
@@ -543,26 +542,6 @@ TEST(BankedStats, WindowRatesRecomputedFromSubtractedCounters)
     EXPECT_DOUBLE_EQ(r.mem.get("l1d.hit_rate"),
                      r.mem.get("l1d.hits") /
                          r.mem.get("l1d.accesses"));
-}
-
-TEST(BankQueueMonitorTest, AttributesTrafficAndDelayPerBank)
-{
-    HierarchyParams h = contentionHier(2, 8);
-    MemoryHierarchy mem(h);
-    BankQueueMonitor mon(2, 0);
-    mem.addLlcListener(&mon);
-    // Same-cycle flood of bank-0 lines (even line numbers) queues
-    // there; bank 1 sees nothing.
-    for (Addr line = 0; line < 16; line += 2)
-        mem.access(load(line * kLineBytes), 0);
-    EXPECT_EQ(mon.bankOf(0), 0u);
-    EXPECT_EQ(mon.bankOf(1 * kLineBytes), 1u);
-    StatSet s = mon.stats();
-    EXPECT_EQ(s.get("bank0.accesses"), 8.0);
-    EXPECT_EQ(s.get("bank1.accesses"), 0.0);
-    EXPECT_GT(s.get("bank0.queue_cycles"), 0.0);
-    EXPECT_GT(mon.meanQueueDelay(), 0.0);
-    EXPECT_EQ(mon.accessImbalance(), 2.0); // all traffic on one of two
 }
 
 TEST(ContentionSweep, DeterministicAcrossJobCounts)

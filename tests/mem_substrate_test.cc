@@ -2,7 +2,7 @@
  * @file
  * Tests for the remaining memory substrates: MESI directory and the
  * three prefetch engines.  The DRAM channel model has its own suite in
- * dram_test.cc (FCFS math, backfill keying, multi-slot channels).
+ * dram_test.cc (FCFS math, backfill keying, channel mapping).
  */
 
 #include <gtest/gtest.h>

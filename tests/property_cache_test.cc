@@ -8,10 +8,12 @@
  * corruption that only appears after long histories, tag aliasing,
  * counter wraparound and eviction bookkeeping drift.  The LRU cache is
  * also checked access by access against a naive vector-of-lines model.
+ * The flat line-keyed tables are checked against std::map references.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -20,6 +22,7 @@
 #include "garibaldi/dppn_table.hh"
 #include "garibaldi/pair_table.hh"
 #include "mem/cache.hh"
+#include "mem/flat_tables.hh"
 
 namespace garibaldi
 {
@@ -338,6 +341,128 @@ TEST(CacheDifferential, MatchesNaiveLruModel)
                 EXPECT_EQ(got.prefetched, want.prefetched);
             }
     }
+}
+
+// --------------------------------------------------------------------
+// Flat line-keyed tables against std::map references.
+// --------------------------------------------------------------------
+
+/** Every live (key, value) pair forEach() visits, each exactly once. */
+std::map<Addr, std::uint32_t>
+flatContents(const FlatLineMap<std::uint32_t> &m)
+{
+    std::map<Addr, std::uint32_t> out;
+    m.forEach([&](Addr k, std::uint32_t v) {
+        EXPECT_TRUE(out.emplace(k, v).second) << "key " << k << " twice";
+    });
+    return out;
+}
+
+/**
+ * FlatLineMap against std::map under random ref/find/erase mixes.  Keys
+ * are drawn from a pool of random 58-bit line numbers.  A tiny initial
+ * table makes the first phase grow it several times; the churn phase
+ * then erases as often as it inserts, so probes cross tombstones,
+ * inserts reuse them and tombstone-heavy rehashes run at a steady size.
+ */
+TEST(FlatLineMap, MatchesMapReference)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(seed);
+        Pcg32 rng(seed, 17);
+        std::vector<Addr> pool(1500);
+        for (Addr &k : pool)
+            k = rng.next64() >> kLineShift;
+        FlatLineMap<std::uint32_t> m(4);
+        const FlatLineMap<std::uint32_t> &cm = m;
+        std::map<Addr, std::uint32_t> ref;
+        constexpr int kSteps = 120000;
+        for (int step = 0; step < kSteps; ++step) {
+            Addr key = pool[rng.nextBounded(
+                static_cast<std::uint32_t>(pool.size()))];
+            std::uint32_t op = rng.nextBounded(10);
+            // Growth phase: mostly inserts; churn phase: inserts and
+            // erases balance.
+            std::uint32_t inserts = step < kSteps / 4 ? 7 : 4;
+            if (op < inserts) {
+                std::uint32_t add = rng.nextBounded(100);
+                m.ref(key) += add;
+                ref[key] += add;
+            } else if (op < 7) {
+                const std::uint32_t *got = cm.find(key);
+                auto it = ref.find(key);
+                ASSERT_EQ(got != nullptr, it != ref.end())
+                    << "step " << step;
+                if (got) {
+                    ASSERT_EQ(*got, it->second) << "step " << step;
+                }
+            } else {
+                m.erase(key);
+                ref.erase(key);
+                ASSERT_EQ(m.find(key), nullptr) << "step " << step;
+            }
+            ASSERT_EQ(m.size(), ref.size()) << "step " << step;
+            if (step % 4096 == 0 || step == kSteps - 1) {
+                ASSERT_EQ(flatContents(m), ref) << "step " << step;
+            }
+        }
+        // Erase everything: an all-tombstone table holds nothing.
+        for (Addr k : pool)
+            m.erase(k);
+        EXPECT_EQ(m.size(), 0u);
+        EXPECT_TRUE(flatContents(m).empty());
+        EXPECT_EQ(m.ref(pool[0]), 0u); // re-inserted value-initialized
+        EXPECT_EQ(m.size(), 1u);
+    }
+}
+
+/**
+ * DecayingCounterTable: counters saturate at 255; a new key arriving
+ * when size() + 1 reaches 3/4 of the table halves every count and drops
+ * the zeros first; and a table still full after that decay reports the
+ * new key once (count 1) without tracking it.
+ */
+TEST(DecayingCounterTable, SaturatesDecaysAndDropsWhenFull)
+{
+    // 16 expected entries: 32 slots, so the decay trigger fires on the
+    // new key that arrives while 23 keys are tracked.
+    constexpr Addr kLimit = 23;
+
+    DecayingCounterTable t(16);
+    for (int i = 1; i <= 300; ++i)
+        ASSERT_EQ(t.increment(1000), std::min(i, 255)) << "bump " << i;
+    EXPECT_EQ(t.increment(2000), 1);
+    EXPECT_EQ(t.increment(2000), 2);
+    // Fill to the trigger with single-touch keys: no decay yet.
+    for (Addr k = 0; k < kLimit - 2; ++k)
+        EXPECT_EQ(t.increment(k), 1);
+    EXPECT_EQ(t.size(), kLimit);
+    EXPECT_EQ(t.increment(1000), 255); // hits never decay
+
+    // The next new key decays: 255 -> 127, 2 -> 1, the ones drop.
+    EXPECT_EQ(t.increment(3000), 1);
+    EXPECT_EQ(t.size(), 3u);
+    EXPECT_EQ(t.increment(1000), 128);
+    EXPECT_EQ(t.increment(2000), 2);
+    EXPECT_EQ(t.increment(3000), 2);
+    EXPECT_EQ(t.increment(0), 1); // dropped: counts afresh
+    EXPECT_EQ(t.size(), 4u);
+
+    // Every tracked key at 8: decay halves them to 4 and drops none, so
+    // the table is still full and the new key goes untracked.
+    DecayingCounterTable full(16);
+    for (Addr k = 0; k < kLimit; ++k)
+        for (int i = 0; i < 8; ++i)
+            full.increment(k);
+    EXPECT_EQ(full.size(), kLimit);
+    EXPECT_EQ(full.increment(5000), 1);
+    EXPECT_EQ(full.size(), kLimit);
+    EXPECT_EQ(full.increment(0), 5);
+    // Again untracked: this decay takes the 4s to 2s (and 0's 5 to 2).
+    EXPECT_EQ(full.increment(5000), 1);
+    EXPECT_EQ(full.size(), kLimit);
+    EXPECT_EQ(full.increment(1), 3);
+    EXPECT_EQ(full.increment(0), 3);
 }
 
 // --------------------------------------------------------------------

@@ -391,7 +391,7 @@ TEST(StatKindRegistry, ResolvesPrefixedAndSuffixNestedNames)
 
     // Dynamically composed families resolve too, and window exactly as
     // they did while wildcard declarations were skipped: a per-bank
-    // monitor counter still finds its literal suffix, and a sampled
+    // LLC counter still finds its literal suffix, and a sampled
     // latency percentile reaches its "lat.*_p95" quantile declaration.
     d = reg.resolve("bank3.queued_accesses");
     ASSERT_NE(d, nullptr);
@@ -418,12 +418,10 @@ exportedStatNames(const SystemConfig &cfg, bool with_monitors)
     ReuseDistanceMonitor reuse(sys.hierarchy().llc().totalSets(), 0);
     LineFrequencyMonitor freq;
     PairingMonitor pairing;
-    BankQueueMonitor bank_queues(cfg.hierarchyParams());
     if (with_monitors) {
         sys.hierarchy().addLlcListener(&reuse);
         sys.hierarchy().addLlcListener(&freq);
         sys.hierarchy().addLlcListener(&pairing);
-        sys.hierarchy().addLlcListener(&bank_queues);
     }
     SimResult r = Simulator(sys).run(2000, 5000);
 
@@ -436,7 +434,6 @@ exportedStatNames(const SystemConfig &cfg, bool with_monitors)
         sets.push_back(reuse.stats());
         sets.push_back(freq.stats());
         sets.push_back(pairing.stats());
-        sets.push_back(bank_queues.stats());
     }
     if (sys.garibaldi())
         sets.push_back(sys.garibaldi()->helperTable(0).stats());

@@ -3,7 +3,7 @@
  * Workload-engine tests: catalog completeness, stream determinism,
  * code-layout properties, data-space behavior, and the many-to-few vs
  * few-to-many characterization that defines server vs SPEC profiles,
- * and MicroOpStream::fill against per-op next().
+ * and SynthWorkload::fill against per-op next().
  */
 
 #include <gtest/gtest.h>
