@@ -128,17 +128,13 @@ main(int argc, char **argv)
         // (the PR-3 "--contention --svc 0" pattern); the Dram
         // constructor double-checks the same invariants for
         // programmatic users.
-        std::int64_t row_bits = args.getInt("row-bits");
-        std::int64_t turn = args.getInt("turnaround");
-        std::int64_t refi = args.getInt("refresh-interval");
-        std::int64_t rfc = args.getInt("refresh-penalty");
-        if (row_bits <= 0)
+        std::uint64_t row_bits = args.getUnsigned("row-bits");
+        Cycle turn = args.getUnsigned("turnaround");
+        Cycle refi = args.getUnsigned("refresh-interval");
+        Cycle rfc = args.getUnsigned("refresh-penalty");
+        if (row_bits == 0)
             fatal("--dram-timing needs --row-bits > 0 (0 disables the "
                   "row-buffer split, the mode's headline leg)");
-        if (turn < 0)
-            fatal("--turnaround must be >= 0");
-        if (refi < 0 || rfc < 0)
-            fatal("--refresh-interval/--refresh-penalty must be >= 0");
         if (rfc > 0 && refi == 0)
             fatal("--refresh-penalty > 0 needs --refresh-interval > 0 "
                   "(a refresh blast with no tREFI period never fires)");
@@ -147,19 +143,19 @@ main(int argc, char **argv)
                   "--refresh-interval (tREFI); the channel would "
                   "never unblock");
         base.dram.rowBits = static_cast<std::uint32_t>(row_bits);
-        base.dram.turnaroundCycles = static_cast<Cycle>(turn);
-        base.dram.refreshIntervalCycles = static_cast<Cycle>(refi);
-        base.dram.refreshPenaltyCycles = static_cast<Cycle>(rfc);
+        base.dram.turnaroundCycles = turn;
+        base.dram.refreshIntervalCycles = refi;
+        base.dram.refreshPenaltyCycles = rfc;
     }
     if (contention) {
-        std::int64_t svc = args.getInt("svc");
-        std::int64_t ports = args.getInt("ports");
-        if (svc <= 0)
+        Cycle svc = args.getUnsigned("svc");
+        std::uint64_t ports = args.getUnsigned("ports");
+        if (svc == 0)
             fatal("--contention needs --svc > 0 (0 disables the model "
                   "and its queue stats)");
-        if (ports <= 0)
+        if (ports == 0)
             fatal("--contention needs --ports > 0");
-        base.llcBankServiceCycles = static_cast<Cycle>(svc);
+        base.llcBankServiceCycles = svc;
         base.llcBankPorts = static_cast<std::uint32_t>(ports);
     }
 

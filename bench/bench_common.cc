@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "common/audit.hh"
-#include "common/logging.hh"
 
 namespace garibaldi
 {
@@ -29,20 +28,13 @@ BenchArgs::addTo(ArgParser &args)
 BenchArgs
 BenchArgs::from(const ArgParser &args)
 {
-    // Counts and lengths are unsigned: a negative value would wrap.
-    auto non_negative = [&args](const char *name) {
-        std::int64_t v = args.getInt(name);
-        if (v < 0)
-            fatal("--", name, " must be >= 0 (got ", v, ")");
-        return v;
-    };
     BenchArgs b;
-    b.cores = static_cast<std::uint32_t>(non_negative("cores"));
-    b.warmup = static_cast<std::uint64_t>(non_negative("warmup"));
-    b.detailed = static_cast<std::uint64_t>(non_negative("instr"));
+    b.cores = static_cast<std::uint32_t>(args.getUnsigned("cores"));
+    b.warmup = args.getUnsigned("warmup");
+    b.detailed = args.getUnsigned("instr");
     b.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    b.llcBanks = static_cast<std::uint32_t>(non_negative("llc-banks"));
-    b.jobs = static_cast<std::uint32_t>(non_negative("jobs"));
+    b.llcBanks = static_cast<std::uint32_t>(args.getUnsigned("llc-banks"));
+    b.jobs = static_cast<std::uint32_t>(args.getUnsigned("jobs"));
     audit::applyAuditArg(args);
     b.full = args.getFlag("full");
     b.csv = args.getFlag("csv");

@@ -32,11 +32,10 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     std::uint32_t cores =
-        static_cast<std::uint32_t>(args.getInt("cores"));
+        static_cast<std::uint32_t>(args.getUnsigned("cores"));
     SystemConfig base = defaultConfig(cores);
-    ExperimentContext ctx(
-        base, static_cast<std::uint64_t>(args.getInt("warmup")),
-        static_cast<std::uint64_t>(args.getInt("instr")));
+    ExperimentContext ctx(base, args.getUnsigned("warmup"),
+                          args.getUnsigned("instr"));
 
     // One rack's worth of services, round-robined over the cores.
     std::vector<std::string> services = {"tpcc",      "twitter",

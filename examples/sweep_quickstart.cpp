@@ -1,7 +1,7 @@
 /**
  * @file
  * Sweep-engine quickstart: declare a small bank-count x policy x
- * workload sweep, fan it out over a thread pool, and print the
+ * workload sweep, fan it out over worker threads, and print the
  * structured results as CSV and JSON.  Demonstrates the SweepSpec
  * builder, SweepRunner options (jobs, progress) and ResultsTable
  * selector lookups — the same machinery every figure bench runs on.
@@ -33,7 +33,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     std::uint32_t cores = static_cast<std::uint32_t>(
-        args.getInt("cores"));
+        args.getUnsigned("cores"));
     SystemConfig base = defaultConfig(cores);
 
     // Declare the sweep: every combination of these axis values
@@ -47,19 +47,11 @@ main(int argc, char **argv)
                 homogeneousMix("verilator", cores)});
     std::printf("sweep: %zu jobs\n", spec.jobCount());
 
-    ExperimentContext ctx(base,
-                          static_cast<std::uint64_t>(
-                              args.getInt("warmup")),
-                          static_cast<std::uint64_t>(
-                              args.getInt("instr")));
+    ExperimentContext ctx(base, args.getUnsigned("warmup"),
+                          args.getUnsigned("instr"));
     SweepRunner runner(ctx);
     SweepOptions opts;
-    std::int64_t jobs = args.getInt("jobs");
-    if (jobs < 0) {
-        std::fprintf(stderr, "--jobs must be >= 0\n");
-        return 1;
-    }
-    opts.jobs = static_cast<unsigned>(jobs);
+    opts.jobs = static_cast<unsigned>(args.getUnsigned("jobs"));
     opts.progress = args.getFlag("progress");
     ResultsTable results = runner.run(spec, opts);
 

@@ -43,9 +43,10 @@ main(int argc, char **argv)
                 w.layout().codeBytes() / 1024.0);
 
     // ---- Decoded window ---------------------------------------------
-    std::printf("first %lld decoded micro-ops:\n",
-                static_cast<long long>(args.getInt("window")));
-    for (int i = 0; i < args.getInt("window"); ++i) {
+    std::uint64_t window = args.getUnsigned("window");
+    std::printf("first %llu decoded micro-ops:\n",
+                static_cast<unsigned long long>(window));
+    for (std::uint64_t i = 0; i < window; ++i) {
         MicroOp op = w.next();
         const char *kind =
             op.isBranch ? (op.isIndirect ? "CALL*" : "BR")
@@ -66,7 +67,7 @@ main(int argc, char **argv)
     }
 
     // ---- Profile -----------------------------------------------------
-    std::uint64_t total = static_cast<std::uint64_t>(args.getInt("ops"));
+    std::uint64_t total = args.getUnsigned("ops");
     std::set<Addr> ilines, dlines;
     std::map<Addr, std::uint64_t> iline_counts, dline_counts;
     std::uint64_t loads = 0, stores = 0, branches = 0, taken = 0,

@@ -135,7 +135,9 @@ echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 # Observability: with every obs knob off the tracer hook is a single
 # null-pointer branch, so quickstart/fig04/fig11 must stay
 # byte-identical to the committed goldens; with tracing on, artifacts
-# must be byte-identical across --jobs.
+# must be byte-identical across --jobs.  fig11 is also diffed at
+# --jobs 8, which pins the threaded parallelFor path (including the
+# solo-IPC pre-warm its random mixes trigger) against the same bytes.
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
@@ -143,15 +145,18 @@ echo "== obs: knobs-off byte-identity vs goldens =="
     > "$build/golden_fig04.txt"
 "$build/fig11_end_to_end" --warmup 10000 --instr 20000 --mixes 2 \
     --jobs 1 > "$build/golden_fig11.txt"
-for g in quickstart fig04 fig11; do
-  if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$g.txt" \
+"$build/fig11_end_to_end" --warmup 10000 --instr 20000 --mixes 2 \
+    --jobs 8 > "$build/golden_fig11_j8.txt"
+for out in quickstart fig04 fig11 fig11_j8; do
+  g="${out%_j8}"
+  if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" \
       > /dev/null; then
-    echo "FAIL: $g output drifted from scripts/goldens/$g.txt with obs off"
-    diff "$repo/scripts/goldens/$g.txt" "$build/golden_$g.txt" | head -20
+    echo "FAIL: $out output drifted from scripts/goldens/$g.txt with obs off"
+    diff "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" | head -20
     exit 1
   fi
 done
-echo "quickstart/fig04/fig11: byte-identical to goldens with obs off"
+echo "quickstart/fig04/fig11 (--jobs 1 and 8): byte-identical to goldens with obs off"
 
 # Audit mode is a pure checker: enabling --audit must not perturb a
 # single output byte on a healthy run.
@@ -267,9 +272,9 @@ fi
 # ---- sanitizer lanes -------------------------------------------------
 # Each lane is its own build tree (sanitizer runtimes must not mix):
 # full ctest plus a short traced-free sweep at --jobs 8 with --audit on,
-# so the thread pool, the solo-IPC cache, and every audit check run
-# instrumented.  CI_SANITIZE=0 skips the lanes (e.g. quick local runs);
-# the stamp below records the skip honestly.
+# so the sweep's worker threads, the solo-IPC cache, and every audit
+# check run instrumented.  CI_SANITIZE=0 skips the lanes (e.g. quick
+# local runs); the stamp below records the skip honestly.
 run_sanitizer_lane() {
   lane_name="$1"; lane_flags="$2"; lane_build="$build-$1"
   echo "== sanitizer lane: $lane_name (-fsanitize=${lane_flags//;/,}) =="

@@ -1,10 +1,9 @@
 #!/bin/bash
 # Clang thread-safety lane: -Wthread-safety -Wthread-safety-beta as
 # errors over every translation unit in src/.  The annotations in
-# src/common/sharing.hh (SIM_GUARDED_BY / SIM_REQUIRES / SimMutex)
-# lower to real capability attributes under clang, so a
-# lock-discipline slip in the genuinely
-# concurrent subsystems (ThreadPool, ExperimentContext's solo cache)
+# src/common/sharing.hh (SIM_GUARDED_BY / SimMutex / SimLock) lower
+# to real capability attributes under clang, so a lock-discipline slip
+# around the one lock in the tree (ExperimentContext's solo-IPC cache)
 # is a build error here, not a TSan roll of the dice.
 #
 # The container this repo builds in ships only the GCC toolchain; when

@@ -167,6 +167,18 @@ ArgParser::getInt(const std::string &name) const
     return std::strtoll(find(name, Kind::Int)->value.c_str(), nullptr, 0);
 }
 
+std::uint64_t
+ArgParser::getUnsigned(const std::string &name) const
+{
+    std::int64_t v = getInt(name);
+    if (v < 0) {
+        std::fprintf(stderr, "error: --%s must be >= 0 (got %lld)\n",
+                     name.c_str(), static_cast<long long>(v));
+        std::exit(1);
+    }
+    return static_cast<std::uint64_t>(v);
+}
+
 double
 ArgParser::getDouble(const std::string &name) const
 {

@@ -46,6 +46,13 @@ class ArgParser
     void parse(int argc, const char *const *argv);
 
     std::int64_t getInt(const std::string &name) const;
+    /**
+     * An integer option used as a count or length.  A negative value
+     * prints "error: --<name> must be >= 0 (got <v>)" and exits 1,
+     * like the parse errors above, instead of wrapping to a huge
+     * unsigned value.
+     */
+    std::uint64_t getUnsigned(const std::string &name) const;
     double getDouble(const std::string &name) const;
     const std::string &getString(const std::string &name) const;
     bool getFlag(const std::string &name) const;

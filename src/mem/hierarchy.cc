@@ -275,8 +275,8 @@ MemoryHierarchy::stageDramFill(Transaction &txn)
     txn.dramCompletesAt = fill.completesAt;
     txn.dramQueueCycles = fill.queue;
     txn.dramRowLeg = fill.rowLeg;
-    txn.dramTurnaround = fill.turned;
-    txn.dramRefreshStalled = fill.refreshStalled;
+    txn.dramTurned = fill.turned;
+    txn.dramStalledByRefresh = fill.refreshStalled;
     txn.llcCycles += llcSet->latency();
     txn.level = HitLevel::Mem;
     if (!txn.allocate)

@@ -59,8 +59,8 @@ struct Transaction
     // ---- attribution detail (consumed by the tracer) -----------------
     Cycle dramQueueCycles = 0;  //!< channel-queue share of dramCycles
     std::int8_t dramRowLeg = -1; //!< Dram::RowLeg; -1 = row model off
-    bool dramTurnaround = false; //!< grant crossed a bus turnaround
-    bool dramRefreshStalled = false; //!< grant pushed past a tRFC blast
+    bool dramTurned = false; //!< grant crossed a bus turnaround
+    bool dramStalledByRefresh = false; //!< grant pushed past a tRFC blast
     std::uint32_t llcBank = 0;  //!< owning LLC bank (set when traced)
 
     // ---- outcome -----------------------------------------------------

@@ -109,8 +109,8 @@ Tracer::capture(const Transaction &txn)
     r.isPrefetch = txn.req.isPrefetch;
     r.llcAccessed = txn.llcAccessed;
     r.llcHit = txn.llcHit;
-    r.dramTurnaround = txn.dramTurnaround;
-    r.dramRefreshStalled = txn.dramRefreshStalled;
+    r.dramTurned = txn.dramTurned;
+    r.dramStalledByRefresh = txn.dramStalledByRefresh;
     ++nCaptured;
 
     int cls = classOf(r);
@@ -255,9 +255,9 @@ Tracer::chromeJson() const
         out += ",\"row_leg\":\"";
         out += r.dramRowLeg >= 0 ? kRowLegName[r.dramRowLeg] : "-";
         out += "\",\"turnaround\":";
-        out += r.dramTurnaround ? "true" : "false";
+        out += r.dramTurned ? "true" : "false";
         out += ",\"refresh_stalled\":";
-        out += r.dramRefreshStalled ? "true" : "false";
+        out += r.dramStalledByRefresh ? "true" : "false";
         out += "}}";
     }
 
@@ -327,9 +327,9 @@ Tracer::csv() const
         out += ',';
         out += r.dramRowLeg >= 0 ? kRowLegName[r.dramRowLeg] : "-";
         out += ',';
-        out += r.dramTurnaround ? '1' : '0';
+        out += r.dramTurned ? '1' : '0';
         out += ',';
-        out += r.dramRefreshStalled ? '1' : '0';
+        out += r.dramStalledByRefresh ? '1' : '0';
         out += '\n';
     }
     return out;

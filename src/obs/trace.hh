@@ -43,7 +43,7 @@ struct TraceRecord
     std::int8_t dramRowLeg = -1;
     bool isInstr = false, isWrite = false, isPrefetch = false;
     bool llcAccessed = false, llcHit = false;
-    bool dramTurnaround = false, dramRefreshStalled = false;
+    bool dramTurned = false, dramStalledByRefresh = false;
 
     Cycle total() const
     {

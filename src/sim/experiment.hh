@@ -6,7 +6,7 @@
  * mixes) and caches per-workload solo IPCs for the weighting.
  *
  * The context is safe for concurrent callers (the sweep engine fans
- * jobs out across a thread pool): run() builds an independent System
+ * jobs out across threads): run() builds an independent System
  * per call, and the solo-IPC cache behind metric()/soloIpc() is
  * mutex-guarded.  Solo IPCs are deterministic functions of the base
  * config, so duplicated computation under contention is benign.
@@ -67,8 +67,6 @@ class ExperimentContext
     double soloIpc(const std::string &workload) const;
 
     const SystemConfig &baseConfig() const { return base; }
-    std::uint64_t warmupInstructions() const { return warmup; }
-    std::uint64_t detailedInstructions() const { return detailed; }
 
   private:
     SystemConfig base;

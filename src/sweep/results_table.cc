@@ -1,7 +1,5 @@
 #include "sweep/results_table.hh"
 
-#include <cstdlib>
-
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -25,39 +23,6 @@ csvField(const std::string &s)
     }
     out += '"';
     return out;
-}
-
-/** Split one CSV line into fields, honoring quoted fields. */
-std::vector<std::string>
-csvSplit(const std::string &line)
-{
-    std::vector<std::string> fields;
-    std::string cur;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cur += '"';
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cur += c;
-            }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            fields.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    fields.push_back(cur);
-    return fields;
 }
 
 } // namespace
@@ -212,78 +177,6 @@ ResultsTable::toJson(int indent) const
     }
     doc.set("rows", std::move(rows));
     return doc.dump(indent);
-}
-
-ResultsTable
-ResultsTable::fromCsv(const std::string &text, int coord_columns)
-{
-    std::vector<std::string> lines;
-    std::string cur;
-    for (char c : text) {
-        if (c == '\n') {
-            lines.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
-    }
-    if (!cur.empty())
-        lines.push_back(cur);
-    if (lines.empty())
-        fatal("results: empty CSV");
-
-    std::vector<std::string> header = csvSplit(lines[0]);
-    std::vector<std::vector<std::string>> data;
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-        if (lines[i].empty())
-            continue;
-        std::vector<std::string> f = csvSplit(lines[i]);
-        if (f.size() != header.size())
-            fatal("results: CSV row width mismatch on line ", i + 1);
-        data.push_back(std::move(f));
-    }
-
-    std::size_t metric_start;
-    if (coord_columns >= 0) {
-        if (static_cast<std::size_t>(coord_columns) > header.size())
-            fatal("results: coord_columns ", coord_columns,
-                  " exceeds CSV width ", header.size());
-        metric_start = static_cast<std::size_t>(coord_columns);
-    } else {
-        // Infer from the first data row: the trailing run of numeric
-        // fields are the metrics (see the header caveat about numeric
-        // coordinate labels).
-        metric_start = header.size();
-        if (!data.empty()) {
-            while (metric_start > 0) {
-                const std::string &cell = data[0][metric_start - 1];
-                char *end = nullptr;
-                std::strtod(cell.c_str(), &end);
-                bool numeric = !cell.empty() &&
-                               end == cell.c_str() + cell.size();
-                if (!numeric)
-                    break;
-                --metric_start;
-            }
-        }
-    }
-
-    ResultsTable t(
-        {header.begin(),
-         header.begin() + static_cast<std::ptrdiff_t>(metric_start)},
-        {header.begin() + static_cast<std::ptrdiff_t>(metric_start),
-         header.end()});
-    t.resize(data.size());
-    for (std::size_t r = 0; r < data.size(); ++r) {
-        std::vector<std::string> coords(
-            data[r].begin(),
-            data[r].begin() + static_cast<std::ptrdiff_t>(metric_start));
-        std::vector<double> metrics;
-        for (std::size_t m = metric_start; m < header.size(); ++m)
-            metrics.push_back(std::strtod(data[r][m].c_str(), nullptr));
-        t.setRow(r, std::move(coords), std::move(metrics));
-    }
-    return t;
 }
 
 ResultsTable

@@ -3,11 +3,10 @@
  * Structured sweep results: a rectangular table of string coordinate
  * columns (axis labels) and double metric columns, one row per
  * SweepJob, stored in job-index order so output is deterministic
- * regardless of execution interleaving.  Emits CSV and JSON and parses
- * both back (numbers print via jsonNumber() so values survive the
- * round trip; JSON is self-describing, CSV needs the coord-column
- * count when coordinate labels are numeric — see fromCsv), and
- * supports coordinate-selector lookups so benches can normalize
+ * regardless of execution interleaving.  Emits CSV and JSON; JSON is
+ * the round-trip format (self-describing, numbers print via
+ * jsonNumber() so values survive exactly), and fromJson() parses it
+ * back.  Supports coordinate-selector lookups so benches can normalize
  * against baseline rows (e.g. policy=lru) after a single fan-out.
  */
 
@@ -69,17 +68,7 @@ class ResultsTable
     /** JSON document: {"coords":[...],"metrics":[...],"rows":[...]} */
     std::string toJson(int indent = 2) const;
 
-    /**
-     * Parse CSV back into a table.  CSV carries no coord/metric
-     * distinction, so pass @p coord_columns (the number of leading
-     * coordinate columns) when known.  The default (-1) infers the
-     * split from the first data row — trailing numeric fields become
-     * metrics — which misclassifies coordinate axes with purely
-     * numeric labels (banks, ways, cores…); JSON is the authoritative
-     * self-describing round-trip format.
-     */
-    static ResultsTable fromCsv(const std::string &text,
-                                int coord_columns = -1);
+    /** Parse a toJson() document back into a table. */
     static ResultsTable fromJson(const std::string &text);
 
     bool operator==(const ResultsTable &other) const;

@@ -1,15 +1,67 @@
 #include "sweep/sweep_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <thread>
 
 #include "common/logging.hh"
 #include "obs/obs.hh"
-#include "sweep/thread_pool.hh"
 
 namespace garibaldi
 {
+
+namespace
+{
+
+/**
+ * Hard ceiling on worker threads: far above any sane sweep width but
+ * low enough that a typo'd --jobs can't abort the process in
+ * std::thread creation.
+ */
+constexpr unsigned kMaxWorkers = 256;
+
+/** Clamp a --jobs request: 0 means "all hardware threads". */
+unsigned
+resolveJobCount(unsigned requested)
+{
+    if (requested == 0) {
+        unsigned hw = std::thread::hardware_concurrency();
+        return hw != 0 ? hw : 1;
+    }
+    if (requested > kMaxWorkers) {
+        warn("clamping worker count ", requested, " to ", kMaxWorkers);
+        return kMaxWorkers;
+    }
+    return requested;
+}
+
+} // namespace
+
+void
+parallelFor(unsigned jobs, std::size_t count,
+            const std::function<void(std::size_t)> &body)
+{
+    std::size_t lanes =
+        std::min<std::size_t>(resolveJobCount(jobs), count);
+    if (lanes <= 1) {
+        for (std::size_t i = 0; i < count; ++i)
+            body(i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    std::vector<std::thread> workers;
+    workers.reserve(lanes);
+    for (std::size_t t = 0; t < lanes; ++t)
+        workers.emplace_back([&next, count, &body] {
+            for (std::size_t i = next.fetch_add(1); i < count;
+                 i = next.fetch_add(1))
+                body(i);
+        });
+    for (std::thread &w : workers)
+        w.join();
+}
 
 SweepRunner::SweepRunner(const ExperimentContext &ctx_) : ctx(ctx_) {}
 
@@ -52,11 +104,9 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
         ensureDirectories(opts.obsDir);
     }
 
-    ThreadPool pool(opts.jobs);
-
     // Pre-warm the solo-IPC cache: heterogeneous mixes need per-
     // workload solo baselines for the weighted-speedup metric, and
-    // warming them here (itself on the pool — solo runs are
+    // warming them here (itself in parallel — solo runs are
     // independent) keeps the fan-out below free of cache misses.
     std::vector<std::string> solo_workloads;
     for (const SweepJob &j : jobs) {
@@ -72,15 +122,15 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             std::fprintf(stderr,
                          "sweep: pre-warming %zu solo IPC(s)\n",
                          solo_workloads.size());
-        pool.parallelFor(solo_workloads.size(),
-                         [&](std::size_t i) {
-                             ctx.soloIpc(solo_workloads[i]);
-                         });
+        parallelFor(opts.jobs, solo_workloads.size(),
+                    [&](std::size_t i) {
+                        ctx.soloIpc(solo_workloads[i]);
+                    });
     }
 
     std::mutex progress_mtx;
     std::size_t done = 0;
-    pool.parallelFor(jobs.size(), [&](std::size_t i) {
+    parallelFor(opts.jobs, jobs.size(), [&](std::size_t i) {
         const SweepJob &job = jobs[i];
         SimResult result;
         if (obs_on) {

@@ -1,19 +1,20 @@
 /**
  * @file
- * Thread-pooled sweep execution.
+ * Parallel sweep execution.
  *
  * SweepRunner drives a list of SweepJobs through an ExperimentContext
- * on a fixed-size worker pool.  Each job builds and runs its own
- * System (the simulator stays single-threaded); the only shared
- * mutable state is the context's solo-IPC cache, which is pre-warmed
- * before fan-out and mutex-guarded besides.  Results land in a
- * ResultsTable slot addressed by job index, so the table — and
- * everything printed from it — is byte-identical for any --jobs value.
+ * with parallelFor().  Each job builds and runs its own System (the
+ * simulator stays single-threaded); the only shared mutable state is
+ * the context's solo-IPC cache, which is pre-warmed before fan-out and
+ * mutex-guarded besides.  Results land in a ResultsTable slot
+ * addressed by job index, so the table — and everything printed from
+ * it — is byte-identical for any --jobs value.
  */
 
 #ifndef GARIBALDI_SWEEP_SWEEP_RUNNER_HH
 #define GARIBALDI_SWEEP_SWEEP_RUNNER_HH
 
+#include <cstddef>
 #include <functional>
 #include <string>
 #include <vector>
@@ -25,6 +26,17 @@
 
 namespace garibaldi
 {
+
+/**
+ * Run @p body(i) for every i in [0, count) on min(@p jobs, count)
+ * threads (jobs = 0 means all hardware threads) that pull indices from
+ * one atomic counter, then join them.  With a single lane the loop
+ * runs inline on the caller.  Each index runs exactly once; the order
+ * across threads is unspecified, so callers write index-addressed
+ * output slots.
+ */
+void parallelFor(unsigned jobs, std::size_t count,
+                 const std::function<void(std::size_t)> &body);
 
 /** An extra per-job output column beyond the §6 metric. */
 struct MetricColumn

@@ -87,17 +87,6 @@ SweepSpec::llcBankInterleaveShift(
 }
 
 SweepSpec &
-SweepSpec::llcBankServiceCycles(const std::vector<Cycle> &cycles)
-{
-    SweepAxis ax{"svc", {}};
-    for (Cycle c : cycles)
-        ax.values.push_back({std::to_string(c), [c](SweepPoint &p) {
-                                 p.config.llcBankServiceCycles = c;
-                             }});
-    return axis(std::move(ax));
-}
-
-SweepSpec &
 SweepSpec::dramChannels(const std::vector<std::uint32_t> &channels)
 {
     SweepAxis ax{"dramch", {}};
@@ -105,47 +94,6 @@ SweepSpec::dramChannels(const std::vector<std::uint32_t> &channels)
         ax.values.push_back({std::to_string(n), [n](SweepPoint &p) {
                                  p.config.dram.channels = n;
                              }});
-    return axis(std::move(ax));
-}
-
-SweepSpec &
-SweepSpec::dramRowBits(const std::vector<std::uint32_t> &bits)
-{
-    SweepAxis ax{"rowbits", {}};
-    for (std::uint32_t b : bits)
-        ax.values.push_back({std::to_string(b), [b](SweepPoint &p) {
-                                 p.config.dram.rowBits = b;
-                             }});
-    return axis(std::move(ax));
-}
-
-SweepSpec &
-SweepSpec::dramTurnaround(const std::vector<Cycle> &cycles)
-{
-    SweepAxis ax{"turn", {}};
-    for (Cycle c : cycles)
-        ax.values.push_back({std::to_string(c), [c](SweepPoint &p) {
-                                 p.config.dram.turnaroundCycles = c;
-                             }});
-    return axis(std::move(ax));
-}
-
-SweepSpec &
-SweepSpec::dramRefresh(const std::vector<std::pair<Cycle, Cycle>> &windows)
-{
-    SweepAxis ax{"refresh", {}};
-    for (const auto &[interval, penalty] : windows) {
-        std::string label =
-            interval == 0 && penalty == 0
-                ? "off"
-                : std::to_string(interval) + "/" +
-                      std::to_string(penalty);
-        ax.values.push_back(
-            {std::move(label), [interval, penalty](SweepPoint &p) {
-                 p.config.dram.refreshIntervalCycles = interval;
-                 p.config.dram.refreshPenaltyCycles = penalty;
-             }});
-    }
     return axis(std::move(ax));
 }
 

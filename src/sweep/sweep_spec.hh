@@ -93,20 +93,8 @@ class SweepSpec
     SweepSpec &llcBanks(const std::vector<std::uint32_t> &counts);
     SweepSpec &
     llcBankInterleaveShift(const std::vector<std::uint32_t> &shifts);
-    /** Per-bank contention service cycles ("svc"; 0 = model off). */
-    SweepSpec &llcBankServiceCycles(const std::vector<Cycle> &cycles);
     /** DRAM channel count ("dramch"). */
     SweepSpec &dramChannels(const std::vector<std::uint32_t> &channels);
-    /** DRAM row-buffer bits ("rowbits"; 0 = split off). */
-    SweepSpec &dramRowBits(const std::vector<std::uint32_t> &bits);
-    /** DRAM read<->write turnaround cycles ("turn"; 0 = off). */
-    SweepSpec &dramTurnaround(const std::vector<Cycle> &cycles);
-    /**
-     * DRAM refresh (tREFI, tRFC) cycle pairs ("refresh"; labels are
-     * "interval/penalty", "off" for the (0, 0) point).
-     */
-    SweepSpec &
-    dramRefresh(const std::vector<std::pair<Cycle, Cycle>> &windows);
     /** LLC capacity per core, in KB. */
     SweepSpec &llcSizeKb(const std::vector<std::uint64_t> &kb_per_core);
     SweepSpec &llcAssociativity(const std::vector<std::uint32_t> &ways);
@@ -130,8 +118,6 @@ class SweepSpec
 
     /** Cross product, row-major in declaration order. */
     std::vector<SweepJob> expand() const;
-
-    const SystemConfig &baseConfig() const { return base; }
 
   private:
     SystemConfig base;

@@ -346,5 +346,30 @@ TEST(Cli, RejectsMalformedNumbers)
                 "is out of range");
 }
 
+/** getUnsigned("n") after parsing "--n <value>". */
+std::uint64_t
+unsignedOf(const char *value)
+{
+    ArgParser p("test");
+    p.addInt("n", 5, "count");
+    const char *argv[] = {"prog", "--n", value};
+    p.parse(3, argv);
+    return p.getUnsigned("n");
+}
+
+TEST(Cli, UnsignedRejectsNegativeCounts)
+{
+    // A negative count used to wrap to a huge unsigned value (an
+    // allocation failure or a run that never ends); now it is an
+    // error, exit 1, while zero and positive values pass through.
+    EXPECT_EQ(unsignedOf("0"), 0u);
+    EXPECT_EQ(unsignedOf("12"), 12u);
+    EXPECT_EQ(unsignedOf("0x10"), 16u);
+    EXPECT_EXIT(unsignedOf("-1"), testing::ExitedWithCode(1),
+                "error: --n must be >= 0 \\(got -1\\)");
+    EXPECT_EXIT(unsignedOf("-0x10"), testing::ExitedWithCode(1),
+                "error: --n must be >= 0 \\(got -16\\)");
+}
+
 } // namespace
 } // namespace garibaldi

@@ -727,11 +727,23 @@ TEST(DramSweep, JobsIndependenceWithTimingKnobs)
     base.coresPerL2 = 2;
     base.dramFedLlcMshrs = true;
 
+    auto refresh = [](Cycle interval, Cycle penalty) {
+        return [interval, penalty](SweepPoint &p) {
+            p.config.dram.refreshIntervalCycles = interval;
+            p.config.dram.refreshPenaltyCycles = penalty;
+        };
+    };
     SweepSpec spec(base);
     spec.dramChannels({1, 2})
-        .dramRowBits({0, 7})
-        .dramTurnaround({12})
-        .dramRefresh({{0, 0}, {2000, 200}})
+        .axis("rowbits",
+              {{"0", [](SweepPoint &p) { p.config.dram.rowBits = 0; }},
+               {"7", [](SweepPoint &p) { p.config.dram.rowBits = 7; }}})
+        .axis("turn", {{"12",
+                        [](SweepPoint &p) {
+                            p.config.dram.turnaroundCycles = 12;
+                        }}})
+        .axis("refresh", {{"off", refresh(0, 0)},
+                          {"2000/200", refresh(2000, 200)}})
         .mixes({homogeneousMix("tpcc", 2)});
 
     ExperimentContext ctx(base, 1000, 2000);

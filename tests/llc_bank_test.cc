@@ -558,7 +558,14 @@ TEST(ContentionSweep, DeterministicAcrossJobCounts)
     auto run_with_jobs = [&](unsigned jobs) {
         SweepSpec spec(cfg);
         spec.llcBanks({1, 2})
-            .llcBankServiceCycles({0, 8})
+            .axis("svc", {{"0",
+                           [](SweepPoint &p) {
+                               p.config.llcBankServiceCycles = 0;
+                           }},
+                          {"8",
+                           [](SweepPoint &p) {
+                               p.config.llcBankServiceCycles = 8;
+                           }}})
             .mixes({m});
         ExperimentContext ctx(cfg, 2000, 6000);
         SweepRunner runner(ctx);

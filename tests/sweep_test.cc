@@ -2,8 +2,8 @@
  * @file
  * Sweep-engine tests: JSON writer/parser round-trips, declarative axis
  * expansion (order, coordinates, knob application), ResultsTable
- * CSV/JSON round-trips and selector lookups, thread-pool correctness,
- * concurrent solo-IPC cache safety, and the headline determinism
+ * CSV text, JSON round-trips and selector lookups, parallelFor
+ * coverage, concurrent solo-IPC cache safety, and the headline determinism
  * guarantee — a sweep's ResultsTable is byte-identical for --jobs 1
  * and --jobs 8.
  */
@@ -20,7 +20,6 @@
 #include "sweep/results_table.hh"
 #include "sweep/sweep_runner.hh"
 #include "sweep/sweep_spec.hh"
-#include "sweep/thread_pool.hh"
 
 namespace garibaldi
 {
@@ -169,29 +168,29 @@ TEST(ResultsTable, SelectorLookup)
     EXPECT_EQ(t.select({{"policy", "drrip"}}).size(), 0u);
 }
 
-TEST(ResultsTable, CsvRoundTrip)
+TEST(ResultsTable, CsvText)
 {
-    ResultsTable t = sampleTable();
-    ResultsTable back = ResultsTable::fromCsv(t.toCsv());
-    EXPECT_EQ(back, t);
-    EXPECT_EQ(back.toCsv(), t.toCsv());
+    // RFC-4180 quoting: a field holding a comma or quote is wrapped in
+    // quotes with inner quotes doubled; metrics print via jsonNumber.
+    EXPECT_EQ(sampleTable().toCsv(),
+              "mix,policy,metric,ipc\n"
+              "tpcc,lru,1,0.5\n"
+              "tpcc,mockingjay+g,1.0625,0.53\n"
+              "\"kafka, \"\"quoted\"\"\",lru,0.9871234567891234,0.4\n");
 }
 
-TEST(ResultsTable, CsvRoundTripWithNumericCoordLabels)
+TEST(ResultsTable, JsonRoundTripWithNumericCoordLabels)
 {
-    // Axes like banks/ways/cores have purely numeric labels; the
-    // inferred split would fold them into the metrics, so the explicit
-    // coord_columns parameter is required for exactness.
+    // Axes like banks/ways/cores have purely numeric labels; JSON
+    // keeps them coordinates.
     ResultsTable t({"mix", "banks"}, {"metric"});
     t.resize(2);
     t.setRow(0, {"tpcc", "1"}, {1.5});
     t.setRow(1, {"tpcc", "8"}, {1.25});
-    ResultsTable back = ResultsTable::fromCsv(t.toCsv(), 2);
+    ResultsTable back = ResultsTable::fromJson(t.toJson());
     EXPECT_EQ(back, t);
     EXPECT_EQ(back.value({{"mix", "tpcc"}, {"banks", "8"}}, "metric"),
               1.25);
-    // JSON needs no hint.
-    EXPECT_EQ(ResultsTable::fromJson(t.toJson()), t);
 }
 
 TEST(Json, NonFiniteNumbersRoundTrip)
@@ -220,25 +219,28 @@ TEST(ResultsTable, JsonRoundTrip)
     EXPECT_EQ(ResultsTable::fromJson(t.toJson(0)), t);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce)
+TEST(ParallelFor, RunsEveryIndexOnceAndOneLaneInline)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::vector<std::atomic<int>> hits(1000);
-    pool.parallelFor(hits.size(), [&](std::size_t i) {
-        hits[i].fetch_add(1);
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ReusableAcrossRounds)
-{
-    ThreadPool pool(3);
-    for (int round = 0; round < 3; ++round) {
-        std::atomic<std::size_t> sum{0};
-        pool.parallelFor(100, [&](std::size_t i) { sum += i; });
-        EXPECT_EQ(sum.load(), 4950u);
+    const std::thread::id caller = std::this_thread::get_id();
+    for (unsigned jobs : {1u, 3u, 8u}) {
+        for (std::size_t count : {0u, 1u, 7u, 1000u}) {
+            std::vector<std::atomic<int>> hits(count);
+            std::atomic<bool> off_caller{false};
+            parallelFor(jobs, count, [&](std::size_t i) {
+                hits[i].fetch_add(1);
+                if (std::this_thread::get_id() != caller)
+                    off_caller = true;
+            });
+            for (std::size_t i = 0; i < count; ++i)
+                EXPECT_EQ(hits[i].load(), 1)
+                    << "jobs " << jobs << " count " << count
+                    << " index " << i;
+            // One lane (jobs = 1 or count <= 1) runs on the caller.
+            if (jobs == 1 || count <= 1) {
+                EXPECT_FALSE(off_caller.load())
+                    << "jobs " << jobs << " count " << count;
+            }
+        }
     }
 }
 
