@@ -111,9 +111,7 @@ main(int argc, char **argv)
     if (obs_dir.empty() && obs_template.anyOn())
         fatal("sweep observability writes per-job artifacts; add "
               "--obs-dir DIR");
-    int num_mixes = static_cast<int>(args.getInt("mixes"));
-    if (b.full)
-        num_mixes = std::max(num_mixes, 4);
+    std::uint32_t num_mixes = benchMixCount(args, b.full, 4);
     bool contention = args.getFlag("contention");
     bool dram_sweep = args.getFlag("dram-sweep");
     bool dram_timing = args.getFlag("dram-timing");
@@ -198,7 +196,7 @@ main(int argc, char **argv)
     if (dram_mode)
         spec.dramChannels(dram_channels);
     spec.policies({{"mockingjay+g", PolicyKind::Mockingjay, true}})
-        .randomServerMixes(b.seed + 500, num_mixes);
+        .randomServerMixes(b.seed + 500, static_cast<int>(num_mixes));
 
     ExperimentContext ctx(base, b.warmup, b.detailed);
     SweepRunner runner(ctx);
@@ -280,7 +278,7 @@ main(int argc, char **argv)
                 double leg_reads[3] = {0, 0, 0};
                 static const char *const kLeg[3] = {"hit", "miss",
                                                     "conflict"};
-                for (int i = 0; i < num_mixes; ++i) {
+                for (std::uint32_t i = 0; i < num_mixes; ++i) {
                     CoordSelector sel{
                         {"cores", std::to_string(cores)},
                         {"dramch", std::to_string(ch)},
@@ -337,7 +335,7 @@ main(int argc, char **argv)
             for (std::uint32_t ch : dram_channels) {
                 std::vector<double> vals, ratios;
                 double cycles_sum = 0, accesses_sum = 0;
-                for (int i = 0; i < num_mixes; ++i) {
+                for (std::uint32_t i = 0; i < num_mixes; ++i) {
                     CoordSelector sel{
                         {"cores", std::to_string(cores)},
                         {"dramch", std::to_string(ch)},
@@ -385,7 +383,7 @@ main(int argc, char **argv)
             for (std::uint32_t shift : shifts) {
                 std::vector<double> vals, ratios;
                 double cycles_sum = 0, reservations_sum = 0;
-                for (int i = 0; i < num_mixes; ++i) {
+                for (std::uint32_t i = 0; i < num_mixes; ++i) {
                     CoordSelector sel{
                         {"cores", std::to_string(cores)},
                         {"banks", std::to_string(banks)},

@@ -1,8 +1,11 @@
 #include "bench/bench_common.hh"
 
+#include <algorithm>
 #include <cstdio>
+#include <limits>
 
 #include "common/audit.hh"
+#include "common/logging.hh"
 
 namespace garibaldi
 {
@@ -32,6 +35,11 @@ BenchArgs::from(const ArgParser &args)
     b.cores = static_cast<std::uint32_t>(args.getUnsigned("cores"));
     b.warmup = args.getUnsigned("warmup");
     b.detailed = args.getUnsigned("instr");
+    // Rejected here, on the main thread before any header, rather than
+    // by Simulator::run inside every sweep worker.
+    if (b.detailed == 0)
+        fatal("--instr must be non-zero: the measured window is what "
+              "every reported number comes from");
     b.seed = static_cast<std::uint64_t>(args.getInt("seed"));
     b.llcBanks = static_cast<std::uint32_t>(args.getUnsigned("llc-banks"));
     b.jobs = static_cast<std::uint32_t>(args.getUnsigned("jobs"));
@@ -58,6 +66,30 @@ BenchArgs::sweepOptions() const
     opts.jobs = jobs;
     opts.progress = progress;
     return opts;
+}
+
+std::uint32_t
+benchMixCount(const ArgParser &args, bool full, std::uint32_t full_min)
+{
+    // Capped at INT_MAX: SweepSpec::randomServerMixes takes an int.
+    constexpr std::uint64_t kMaxMixes = std::numeric_limits<int>::max();
+    std::uint64_t mixes = args.getUnsigned("mixes");
+    if (mixes == 0 || mixes > kMaxMixes)
+        fatal("--mixes must be between 1 and ", kMaxMixes, " (got ",
+              mixes, ")");
+    auto count = static_cast<std::uint32_t>(mixes);
+    return full ? std::max(count, full_min) : count;
+}
+
+const std::string &
+benchParts(const ArgParser &args, const std::string &accepted)
+{
+    const std::string &part = args.getString("part");
+    if (part.empty() ||
+        part.find_first_not_of(accepted) != std::string::npos)
+        fatal("--part '", part, "' must be one or more of the letters '",
+              accepted, "'");
+    return part;
 }
 
 std::vector<std::string>

@@ -47,6 +47,22 @@ struct BenchArgs
 };
 
 /**
+ * The bench's --mixes count (each bench registers it with its own
+ * default).  A count outside 1..INT_MAX exits 1 before any output;
+ * --full raises the count to at least @p full_min.
+ */
+std::uint32_t benchMixCount(const ArgParser &args, bool full,
+                            std::uint32_t full_min);
+
+/**
+ * The bench's --part letters.  At least one letter must be given and
+ * each must be one of @p accepted; anything else exits 1 with a
+ * message naming the accepted letters.
+ */
+const std::string &benchParts(const ArgParser &args,
+                              const std::string &accepted);
+
+/**
  * Server workloads for sweep benches: a 6-workload representative
  * subset by default (spanning best case, negative case and the middle
  * of Fig. 12), all 16 with --full.

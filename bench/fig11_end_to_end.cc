@@ -27,9 +27,7 @@ main(int argc, char **argv)
     args.addInt("mixes", 10, "number of random mixes (60 in the paper)");
     args.parse(argc, argv);
     BenchArgs b = BenchArgs::from(args);
-    int mixes = static_cast<int>(args.getInt("mixes"));
-    if (b.full)
-        mixes = std::max(mixes, 60);
+    std::uint32_t mixes = benchMixCount(args, b.full, 60);
 
     printBenchHeader("Figure 11",
                      "weighted speedup over LRU, " +
@@ -39,7 +37,7 @@ main(int argc, char **argv)
     ExperimentContext ctx(b.config(), b.warmup, b.detailed);
 
     std::vector<Mix> ms;
-    for (int i = 0; i < mixes; ++i)
+    for (std::uint32_t i = 0; i < mixes; ++i)
         ms.push_back(randomServerMix(b.seed + i, b.cores));
 
     const std::vector<PolicyVariant> policies = {

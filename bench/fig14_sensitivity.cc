@@ -61,14 +61,12 @@ main(int argc, char **argv)
     args.addString("part", "abcd", "which subfigures to run");
     args.parse(argc, argv);
     BenchArgs b = BenchArgs::from(args);
-    int num_mixes = static_cast<int>(args.getInt("mixes"));
-    if (b.full)
-        num_mixes = std::max(num_mixes, 10);
-    const std::string &part = args.getString("part");
+    std::uint32_t num_mixes = benchMixCount(args, b.full, 10);
+    const std::string &part = benchParts(args, "abcd");
 
     ExperimentContext ctx(b.config(), b.warmup, b.detailed);
     std::vector<Mix> mixes;
-    for (int i = 0; i < num_mixes; ++i)
+    for (std::uint32_t i = 0; i < num_mixes; ++i)
         mixes.push_back(randomServerMix(b.seed + 100 + i, b.cores));
 
     // Variant axes per part (configValue points); every job also

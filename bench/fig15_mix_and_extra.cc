@@ -26,10 +26,8 @@ main(int argc, char **argv)
     args.addString("part", "ab", "which subfigures to run");
     args.parse(argc, argv);
     BenchArgs b = BenchArgs::from(args);
-    int num_mixes = static_cast<int>(args.getInt("mixes"));
-    if (b.full)
-        num_mixes = std::max(num_mixes, 6);
-    const std::string &part = args.getString("part");
+    std::uint32_t num_mixes = benchMixCount(args, b.full, 6);
+    const std::string &part = benchParts(args, "ab");
     const bool run_a = part.find('a') != std::string::npos;
     const bool run_b = part.find('b') != std::string::npos;
 
@@ -43,7 +41,7 @@ main(int argc, char **argv)
     std::vector<std::vector<Mix>> frac_mixes(fractions.size());
     if (run_a) {
         for (std::size_t f = 0; f < fractions.size(); ++f) {
-            for (int i = 0; i < num_mixes; ++i)
+            for (std::uint32_t i = 0; i < num_mixes; ++i)
                 frac_mixes[f].push_back(
                     serverFractionMix(b.seed + 10 * i, b.cores,
                                       fractions[f]));
@@ -62,7 +60,7 @@ main(int argc, char **argv)
     std::vector<Mix> b_mixes;
     std::vector<std::string> b_labels;
     if (run_b) {
-        for (int i = 0; i < num_mixes; ++i)
+        for (std::uint32_t i = 0; i < num_mixes; ++i)
             b_mixes.push_back(randomServerMix(b.seed + 300 + i,
                                               b.cores));
 

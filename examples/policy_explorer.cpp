@@ -13,6 +13,7 @@
 #include <cstdio>
 
 #include "common/cli.hh"
+#include "common/logging.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
 #include "workloads/catalog.hh"
@@ -56,6 +57,9 @@ main(int argc, char **argv)
         cfg.garibaldi.thresholdMode = ThresholdMode::Fixed;
     else if (tm == "all")
         cfg.garibaldi.thresholdMode = ThresholdMode::AllProtected;
+    else if (tm != "dynamic")
+        fatal("--threshold-mode '", tm, "' must be one of "
+              "dynamic|fixed|all");
     cfg.garibaldi.fixedThresholdDelta =
         static_cast<int>(args.getInt("threshold-delta"));
     cfg.garibaldi.k = static_cast<unsigned>(args.getUnsigned("k"));

@@ -21,6 +21,29 @@ cmake --build "$build" -j "$jobs"
 echo "== ctest =="
 ctest --test-dir "$build" --output-on-failure -j "$jobs"
 
+# Rejected input fails in one place: before any stdout, with exit 1 and
+# exactly one error line (never a header followed by a worker's fatal).
+echo "== rejected input (exit 1, no stdout, one error line) =="
+rejected=("fig11_end_to_end --mixes -1"
+          "fig14_sensitivity --part z"
+          "policy_explorer --threshold-mode bogus"
+          "fig11_end_to_end --instr 0")
+for cmd in "${rejected[@]}"; do
+  read -r -a argv <<< "$cmd"
+  status=0
+  "$build/${argv[0]}" "${argv[@]:1}" > "$build/rejected.out" \
+      2> "$build/rejected.err" || status=$?
+  errors=$(grep -c '^\(error\|fatal\): ' "$build/rejected.err" || true)
+  if [ "$status" -ne 1 ] || [ -s "$build/rejected.out" ] \
+      || [ "$errors" -ne 1 ]; then
+    echo "FAIL: '$cmd': exit $status, $(wc -c < "$build/rejected.out")" \
+         "stdout bytes, $errors error lines"
+    cat "$build/rejected.err"
+    exit 1
+  fi
+done
+echo "rejected inputs: each exits 1 with one error line and no stdout"
+
 # Benchmark driver smoke run (~30 s): builds benchmark/garibaldi_bench
 # against the root build/ and runs every workload at 1/50 length with
 # the rep/trace/result schema checks, so an API change that breaks the

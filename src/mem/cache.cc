@@ -467,25 +467,6 @@ Cache::setDirty(Addr line_addr)
         lineState[frameIndex(set, w)] |= kDirty;
 }
 
-bool
-Cache::invalidate(Addr line_addr)
-{
-    line_addr = lineAlign(line_addr);
-    std::uint32_t set = setOf(line_addr);
-    Addr tag = lineNumber(line_addr);
-    std::uint32_t w = probeWay(set, tag);
-    if (w == params.assoc)
-        return false;
-    std::size_t i = frameIndex(set, w);
-    bool was_dirty = lineState[i] & kDirty;
-    repl.onEvict(set, w);
-    if (companion)
-        companion->observeEvict(line_addr, lineState[i] & kInstr);
-    probeTags[i] = 0;
-    lineState[i] = 0;
-    return was_dirty;
-}
-
 void
 Cache::addPending(Addr line_addr, Cycle ready, Cycle now)
 {

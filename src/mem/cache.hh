@@ -138,7 +138,7 @@ struct CacheLine
     bool prefetched = false; //!< inserted by a prefetcher, not yet demanded
 };
 
-/** What an insertion displaced (for writebacks and directory upkeep). */
+/** What an insertion displaced (for writebacks). */
 struct Eviction
 {
     bool valid = false;
@@ -160,7 +160,7 @@ class Cache
      */
     bool access(const MemAccess &acc);
 
-    /** Probe without any state change (tests, directory checks). */
+    /** Probe without any state change (writeback merges, tests). */
     bool contains(Addr line_addr) const;
 
     /**
@@ -174,9 +174,6 @@ class Cache
 
     /** Mark a resident line dirty (store hit / writeback hit). */
     void setDirty(Addr line_addr);
-
-    /** Invalidate a resident line (coherence). @return was dirty. */
-    bool invalidate(Addr line_addr);
 
     /**
      * Record an in-flight miss for @p line completing at @p ready.

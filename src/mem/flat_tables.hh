@@ -5,7 +5,8 @@
  * lookup cost:
  *
  *  - FlatLineMap:          line → value map (the I-oracle's memory,
- *                          directory and monitor books),
+ *                          the page table, the monitor books and the
+ *                          audit-mode drop record),
  *  - PendingTable:         line → fill-ready cycle (the MSHR book),
  *  - DecayingCounterTable: bounded line → saturating counter map with
  *                          periodic decay (instruction criticality),
@@ -52,8 +53,9 @@ tableCapacity(std::size_t expected)
 } // namespace flat
 
 /**
- * Open-addressed line → value map with erase support (directory
- * entries and similar per-line bookkeeping off std::unordered_map).
+ * Open-addressed line → value map with erase support (per-line
+ * bookkeeping off std::unordered_map; PendingTable's audit-mode drop
+ * record is the one caller that erases).
  */
 template <typename V>
 class FlatLineMap

@@ -1,7 +1,5 @@
 #include "mem/hierarchy.hh"
 
-#include <algorithm>
-
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
@@ -22,8 +20,7 @@ constexpr std::uint32_t kInstrCritEntries = 32768;
 
 SIM_STATS(MemoryHierarchy,
     SIM_STAT_GATED("llc.banks", gauge, "numBanks"),
-    SIM_STAT("mshr_stalls", counter),
-    SIM_STAT("coherence_penalty_cycles", counter));
+    SIM_STAT("mshr_stalls", counter));
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     : params(params_)
@@ -65,7 +62,6 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     llcSet = std::make_unique<LlcBankSet>(pllc, params.llcBanks,
                                           params.llcBankInterleaveShift);
     dramModel = std::make_unique<Dram>(params.dram);
-    dir = std::make_unique<Directory>(clusters);
     if (params.llc.instrPartitionWays > 0 && params.llc.partitionCriticalOnly)
         instrCrit = std::make_unique<DecayingCounterTable>(kInstrCritEntries);
 }
@@ -154,36 +150,15 @@ MemoryHierarchy::stageL2(Transaction &txn)
         if (ready > txn.issued + txn.l2Cycles)
             txn.l2Cycles = ready - txn.issued;
         txn.level = HitLevel::L2;
-
-        // Store into a line shared by another cluster: upgrade.
-        if (txn.req.isWrite && !txn.req.isPrefetch &&
-            dir->sharerCount(txn.lineAddr) > 1) {
-            invalScratch.clear();
-            Cycle pen = dir->onUpgrade(txn.lineAddr, txn.cluster,
-                                       invalScratch);
-            applyInvalidations(invalScratch, txn.lineAddr, txn.issued);
-            txn.coherenceCycles += pen;
-            coherencePenaltyCycles += pen;
-        }
     } else {
         stageLlc(txn);
 
         if (txn.allocate) {
             Eviction ev = l2c.insert(txn.req);
-            if (ev.valid) {
-                dir->onEvict(ev.lineAddr, txn.cluster);
-                if (ev.dirty)
-                    writebackToLlc(ev, txn.req.core, txn.issued);
-            }
+            if (ev.valid && ev.dirty)
+                writebackToLlc(ev, txn.req.core, txn.issued);
             l2c.addPending(txn.lineAddr, txn.issued + txn.latency(),
                            txn.issued);
-
-            invalScratch.clear();
-            Cycle pen = dir->onFill(txn.lineAddr, txn.cluster,
-                                    txn.req.isWrite, invalScratch);
-            applyInvalidations(invalScratch, txn.lineAddr, txn.issued);
-            txn.coherenceCycles += pen;
-            coherencePenaltyCycles += pen;
         }
     }
 
@@ -386,11 +361,8 @@ MemoryHierarchy::issueGhbPrefetches(const Transaction &txn, Cache &l2c,
         sub.cluster = txn.cluster;
         stageLlc(sub);
         Eviction ev = l2c.insert(acc);
-        if (ev.valid) {
-            dir->onEvict(ev.lineAddr, txn.cluster);
-            if (ev.dirty)
-                writebackToLlc(ev, txn.req.core, txn.issued);
-        }
+        if (ev.valid && ev.dirty)
+            writebackToLlc(ev, txn.req.core, txn.issued);
         l2c.addPending(lineAlign(a), txn.issued + sub.latency(),
                        txn.issued);
     }
@@ -476,39 +448,8 @@ MemoryHierarchy::writebackToL2(const Eviction &ev, CoreId core, Cycle now)
     wb.isInstr = ev.isInstr;
     wb.isPrefetch = true;
     Eviction displaced = l2c.insert(wb, /*dirty=*/true);
-    if (displaced.valid) {
-        dir->onEvict(displaced.lineAddr, cluster);
-        if (displaced.dirty)
-            writebackToLlc(displaced, core, now);
-    }
-    invalScratch.clear();
-    dir->onFill(ev.lineAddr, cluster, /*is_write=*/true, invalScratch);
-    applyInvalidations(invalScratch, ev.lineAddr, now);
-}
-
-void
-MemoryHierarchy::applyInvalidations(
-    const std::vector<std::uint32_t> &clusters, Addr line_addr, Cycle now)
-{
-    for (std::uint32_t cl : clusters) {
-        // The directory already dropped these sharers when it issued
-        // the invalidation list; only the cached copies remain.
-        bool dirty = l2s[cl]->invalidate(line_addr);
-        if (dirty) {
-            Eviction ev;
-            ev.valid = true;
-            ev.lineAddr = lineAlign(line_addr);
-            ev.dirty = true;
-            writebackToLlc(ev, cl * params.coresPerL2, now);
-        }
-        CoreId first = cl * params.coresPerL2;
-        CoreId last = std::min<CoreId>(first + params.coresPerL2,
-                                       params.numCores);
-        for (CoreId c = first; c < last; ++c) {
-            l1ds[c]->invalidate(line_addr);
-            l1is[c]->invalidate(line_addr);
-        }
-    }
+    if (displaced.valid && displaced.dirty)
+        writebackToLlc(displaced, core, now);
 }
 
 StatSet
@@ -533,10 +474,7 @@ MemoryHierarchy::stats() const
                      llcSet->bank(b).stats().toStatSet());
     }
     s.addAll("dram.", dramModel->stats());
-    s.addAll("dir.", dir->stats());
     s.add("mshr_stalls", static_cast<double>(mshrStalls));
-    s.add("coherence_penalty_cycles",
-          static_cast<double>(coherencePenaltyCycles));
     return s;
 }
 

@@ -2,17 +2,19 @@
  * @file
  * Full memory hierarchy of the modeled machine (Table 1): per-core
  * L1I/L1D, an L2 shared by each 4-core cluster, a non-inclusive banked
- * LLC shared by all cores, a MESI directory, hardware prefetchers (L1D
- * next-line, L2 GHB, L1I I-SPY-like) and DDR5 DRAM.
+ * LLC shared by all cores, hardware prefetchers (L1D next-line, L2 GHB,
+ * L1I I-SPY-like) and DDR5 DRAM.  No line is ever held by two L2
+ * clusters: each core owns a disjoint physical zone
+ * (core/page_table.cc), so the hierarchy models no cross-cluster
+ * sharing.
  *
  * Accesses flow through an explicit staged pipeline over a first-class
  * Transaction (transaction.hh):
  *
  *   L1 probe → L2 probe → LLC probe → DRAM fill → upkeep
  *
- * Each stage records its timing leg on the transaction; writebacks,
- * directory invalidations and prefetch issue are explicit upkeep steps
- * rather than recursion.  The LLC exposes the Garibaldi companion hooks
+ * Each stage records its timing leg on the transaction; writebacks and
+ * prefetch issue are explicit upkeep steps rather than recursion.  The LLC exposes the Garibaldi companion hooks
  * and a virtual-listener fan-out used by the characterization monitors
  * (Fig. 3/4 reproduction).
  */
@@ -24,7 +26,6 @@
 #include <vector>
 
 #include "mem/cache.hh"
-#include "mem/coherence.hh"
 #include "mem/dram.hh"
 #include "mem/flat_tables.hh"
 #include "mem/llc_bank_set.hh"
@@ -117,7 +118,6 @@ class MemoryHierarchy
     LlcBankSet &llc() { return *llcSet; }
     const LlcBankSet &llc() const { return *llcSet; }
     Dram &dram() { return *dramModel; }
-    Directory &directory() { return *dir; }
 
     /** Aggregated statistics across all levels. */
     StatSet stats() const;
@@ -145,8 +145,6 @@ class MemoryHierarchy
     void llcOnlyPrefetch(Addr line_addr, CoreId core, Cycle now);
     void writebackToLlc(const Eviction &ev, CoreId core, Cycle now);
     void writebackToL2(const Eviction &ev, CoreId core, Cycle now);
-    void applyInvalidations(const std::vector<std::uint32_t> &clusters,
-                            Addr line_addr, Cycle now);
     bool instrIsCritical(Addr line_addr);
 
     HierarchyParams params;
@@ -155,7 +153,6 @@ class MemoryHierarchy
     std::vector<std::unique_ptr<Cache>> l2s;
     std::unique_ptr<LlcBankSet> llcSet;
     std::unique_ptr<Dram> dramModel;
-    std::unique_ptr<Directory> dir;
     std::vector<std::unique_ptr<NextLinePrefetcher>> l1dPf;
     std::vector<std::unique_ptr<IspyPrefetcher>> l1iPf;
     std::vector<std::unique_ptr<GhbPrefetcher>> l2Pf;
@@ -163,12 +160,10 @@ class MemoryHierarchy
     Tracer *tracer = nullptr;
     std::vector<LlcEventListener *> llcListeners;
     std::vector<Addr> pfScratch; // prefetch scratch
-    std::vector<std::uint32_t> invalScratch; // directory sharer lists
     /** Instruction-criticality tracker; built only when the LLC's
      *  critical-only partition filter, its one reader, is on. */
     std::unique_ptr<DecayingCounterTable> instrCrit;
     std::uint64_t mshrStalls = 0;
-    std::uint64_t coherencePenaltyCycles = 0;
 };
 
 } // namespace garibaldi

@@ -65,10 +65,6 @@ class LlcBankSet
         return bankFor(acc.lineAddr()).insert(acc, dirty, critical);
     }
     void setDirty(Addr line_addr) { bankFor(line_addr).setDirty(line_addr); }
-    bool invalidate(Addr line_addr)
-    {
-        return bankFor(line_addr).invalidate(line_addr);
-    }
     void addPending(Addr line_addr, Cycle ready, Cycle now = 0)
     {
         bankFor(line_addr).addPending(line_addr, ready, now);

@@ -23,7 +23,7 @@ MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
       samples(num_sets >= (1u << params.sampleShift)
                   ? num_sets >> params.sampleShift : 1),
       sampleCap(flat::tableCapacity(historyLen + 1)),
-      lines(std::size_t{num_sets} * assoc_),
+      lines(makeZeroedArray<LineState>(std::size_t{num_sets} * assoc_)),
       agingCount(num_sets, 0)
 {
     if (params.counterBits < 2 || params.counterBits > 8)

@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "common/zeroed_array.hh"
 #include "mem/flat_tables.hh"
 #include "mem/policy/policy_base.hh"
 
@@ -101,7 +102,7 @@ class MockingjayPolicy final : public PolicyBase
     /** Indexed by set >> sampleShift (only sampled sets are stored). */
     std::vector<SampledSet> samples;
     std::size_t sampleCap; //!< per-sampled-set table capacity (pow2)
-    std::vector<LineState> lines;
+    ZeroedArray<LineState> lines; //!< all-zero = invalid, ETR 0
     std::vector<std::uint32_t> agingCount; //!< per-set access counter
     Tick promoteTick = 0;
 };

@@ -44,7 +44,6 @@ struct Transaction
     Cycle llcCycles = 0;        //!< LLC hit / traversal leg (incl. QBS)
     Cycle queueCycles = 0;      //!< LLC bank-port queuing delay
     Cycle dramCycles = 0;       //!< DRAM read leg
-    Cycle coherenceCycles = 0;  //!< directory upgrade/fill penalties
     Cycle mshrCycles = 0;       //!< MSHR-pressure penalty
 
     /**
@@ -82,7 +81,7 @@ struct Transaction
     latency() const
     {
         return l1Cycles + l2Cycles + llcCycles + queueCycles +
-               dramCycles + coherenceCycles + mshrCycles;
+               dramCycles + mshrCycles;
     }
 
     /** Collapse into the outcome struct the core model consumes. */

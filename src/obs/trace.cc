@@ -98,7 +98,6 @@ Tracer::capture(const Transaction &txn)
     r.queue = txn.queueCycles;
     r.dram = txn.dramCycles;
     r.dramQueue = txn.dramQueueCycles;
-    r.coherence = txn.coherenceCycles;
     r.mshr = txn.mshrCycles;
     r.llcBank = txn.llcBank;
     r.core = txn.req.core;
@@ -248,8 +247,6 @@ Tracer::chromeJson() const
         appendU64(out, r.dram);
         out += ",\"dram_queue\":";
         appendU64(out, r.dramQueue);
-        out += ",\"coherence\":";
-        appendU64(out, r.coherence);
         out += ",\"mshr\":";
         appendU64(out, r.mshr);
         out += ",\"row_leg\":\"";
@@ -286,7 +283,7 @@ Tracer::csv() const
     std::string out;
     out.reserve(1 << 20);
     out += "issued,core,seq,line,class,level,write,llc_hit,llc_bank,"
-           "l1,l2,llc,queue,dram,dram_queue,coherence,mshr,total,"
+           "l1,l2,llc,queue,dram,dram_queue,mshr,total,"
            "row_leg,turnaround,refresh_stalled\n";
     for (const TraceRecord &r : mergedRecords()) {
         appendU64(out, r.issued);
@@ -318,8 +315,6 @@ Tracer::csv() const
         appendU64(out, r.dram);
         out += ',';
         appendU64(out, r.dramQueue);
-        out += ',';
-        appendU64(out, r.coherence);
         out += ',';
         appendU64(out, r.mshr);
         out += ',';

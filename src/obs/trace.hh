@@ -36,7 +36,7 @@ struct TraceRecord
     std::uint64_t seq = 0; //!< per-core capture sequence (merge key)
     Addr lineAddr = 0;
     Cycle l1 = 0, l2 = 0, llc = 0, queue = 0, dram = 0;
-    Cycle dramQueue = 0, coherence = 0, mshr = 0;
+    Cycle dramQueue = 0, mshr = 0;
     std::uint32_t llcBank = 0;
     CoreId core = 0;
     std::uint8_t level = 0; //!< HitLevel
@@ -47,7 +47,7 @@ struct TraceRecord
 
     Cycle total() const
     {
-        return l1 + l2 + llc + queue + dram + coherence + mshr;
+        return l1 + l2 + llc + queue + dram + mshr;
     }
 };
 

@@ -37,8 +37,10 @@ struct SystemConfig
     std::uint32_t l1Mshrs = 10;
 
     // L2 per 4-core cluster (Table 1: 4 MB, 16-way, 18 cycles; scaled
-    // to 1 MB here to match the scaled workload footprints — see
-    // DESIGN.md §3).
+    // to 1 MB here).  The synthetic server workloads carry ~0.5 MB of
+    // code per core (workloads/catalog.cc): a 1 MB per-core L2 share
+    // would hold it and the LLC would see no instruction misses, while
+    // a 0.25 MB share overflows into the LLC as the paper's servers do.
     std::uint64_t l2Bytes = 1 * 1024 * 1024;
     std::uint32_t l2Assoc = 16;
     Cycle l2Latency = 18;

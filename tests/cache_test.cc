@@ -108,15 +108,6 @@ TEST(Cache, StoreHitSetsDirty)
     EXPECT_TRUE(ev.dirty);
 }
 
-TEST(Cache, InvalidateReturnsDirtyState)
-{
-    Cache c(smallParams());
-    c.insert(makeAccess(0x1000, false, true));
-    EXPECT_TRUE(c.invalidate(0x1000));
-    EXPECT_FALSE(c.contains(0x1000));
-    EXPECT_FALSE(c.invalidate(0x1000)); // already gone
-}
-
 TEST(Cache, InstrBitTracked)
 {
     Cache c(smallParams(1, 64 * 2));
@@ -422,11 +413,13 @@ TEST(Cache, CompanionSeesInsertsAndEvicts)
 
 TEST(Cache, InsertExistingLineMergesDirty)
 {
-    Cache c(smallParams());
-    c.insert(makeAccess(0x1000));
-    Eviction ev = c.insert(makeAccess(0x1000), /*dirty=*/true);
+    Cache c(smallParams(1, 64 * 2));
+    c.insert(makeAccess(0x0));
+    Eviction ev = c.insert(makeAccess(0x0), /*dirty=*/true);
     EXPECT_FALSE(ev.valid);
-    EXPECT_TRUE(c.invalidate(0x1000)); // was dirty
+    ev = c.insert(makeAccess(2 * 64)); // same set: displaces the line
+    ASSERT_TRUE(ev.valid);
+    EXPECT_TRUE(ev.dirty);
 }
 
 TEST(Cache, RejectsBadGeometry)

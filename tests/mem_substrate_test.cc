@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the remaining memory substrates: MESI directory and the
- * three prefetch engines.  The DRAM channel model has its own suite in
+ * Tests for the remaining memory substrates: the three prefetch
+ * engines.  The DRAM channel model has its own suite in
  * dram_test.cc (FCFS math, backfill keying, channel mapping).
  */
 
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "mem/coherence.hh"
 #include "mem/prefetch/ghb.hh"
 #include "mem/prefetch/ispy.hh"
 #include "mem/prefetch/next_line.hh"
@@ -17,90 +16,6 @@ namespace garibaldi
 {
 namespace
 {
-
-// --------------------------------------------------------------------
-// MESI directory
-// --------------------------------------------------------------------
-
-TEST(Directory, FirstReaderGetsExclusive)
-{
-    Directory dir(4);
-    std::vector<std::uint32_t> inval;
-    EXPECT_EQ(dir.onFill(0x1000, 0, false, inval), 0u);
-    EXPECT_TRUE(inval.empty());
-    EXPECT_EQ(dir.stateOf(0x1000), CohState::Exclusive);
-    EXPECT_EQ(dir.sharerCount(0x1000), 1u);
-}
-
-TEST(Directory, SecondReaderDemotesToShared)
-{
-    Directory dir(4);
-    std::vector<std::uint32_t> inval;
-    dir.onFill(0x1000, 0, false, inval);
-    dir.onFill(0x1000, 1, false, inval);
-    EXPECT_EQ(dir.stateOf(0x1000), CohState::Shared);
-    EXPECT_EQ(dir.sharerCount(0x1000), 2u);
-    EXPECT_TRUE(inval.empty());
-}
-
-TEST(Directory, WriteInvalidatesOtherSharers)
-{
-    Directory dir(4);
-    std::vector<std::uint32_t> inval;
-    dir.onFill(0x1000, 0, false, inval);
-    dir.onFill(0x1000, 1, false, inval);
-    dir.onFill(0x1000, 2, false, inval);
-    Cycle pen = dir.onFill(0x1000, 3, true, inval);
-    EXPECT_EQ(pen, Directory::kInvalidateLatency);
-    EXPECT_EQ(inval.size(), 3u);
-    EXPECT_EQ(dir.stateOf(0x1000), CohState::Modified);
-    EXPECT_EQ(dir.sharerCount(0x1000), 1u);
-    EXPECT_TRUE(dir.isSharer(0x1000, 3));
-}
-
-TEST(Directory, WriteBySoleOwnerIsFree)
-{
-    Directory dir(4);
-    std::vector<std::uint32_t> inval;
-    dir.onFill(0x1000, 0, false, inval);
-    EXPECT_EQ(dir.onFill(0x1000, 0, true, inval), 0u);
-    EXPECT_TRUE(inval.empty());
-    EXPECT_EQ(dir.stateOf(0x1000), CohState::Modified);
-}
-
-TEST(Directory, ReadOfModifiedChargesWriteback)
-{
-    Directory dir(4);
-    std::vector<std::uint32_t> inval;
-    dir.onFill(0x1000, 0, true, inval);
-    Cycle pen = dir.onFill(0x1000, 1, false, inval);
-    EXPECT_EQ(pen, Directory::kInvalidateLatency);
-    EXPECT_EQ(dir.stateOf(0x1000), CohState::Shared);
-}
-
-TEST(Directory, EvictionsClearSharers)
-{
-    Directory dir(4);
-    std::vector<std::uint32_t> inval;
-    dir.onFill(0x1000, 0, false, inval);
-    dir.onFill(0x1000, 1, false, inval);
-    dir.onEvict(0x1000, 0);
-    EXPECT_EQ(dir.sharerCount(0x1000), 1u);
-    dir.onEvict(0x1000, 1);
-    EXPECT_EQ(dir.stateOf(0x1000), CohState::Invalid);
-}
-
-TEST(Directory, UpgradeCountsAsInvalidation)
-{
-    Directory dir(2);
-    std::vector<std::uint32_t> inval;
-    dir.onFill(0x40, 0, false, inval);
-    dir.onFill(0x40, 1, false, inval);
-    dir.onUpgrade(0x40, 0, inval);
-    EXPECT_EQ(inval.size(), 1u);
-    EXPECT_EQ(inval[0], 1u);
-    EXPECT_EQ(dir.stats().get("upgrades"), 1.0);
-}
 
 // --------------------------------------------------------------------
 // Prefetchers

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -373,6 +374,73 @@ TEST(ObsEndToEnd, ChromeJsonIsWellFormed)
         rows += ch == '\n';
     EXPECT_EQ(rows,
               1 + sys.obs()->tracer()->mergedRecords().size());
+}
+
+/** Split @p line at commas (trace CSV fields never contain one). */
+std::vector<std::string>
+csvFields(const std::string &line)
+{
+    std::vector<std::string> out;
+    std::stringstream ss(line);
+    std::string field;
+    while (std::getline(ss, field, ','))
+        out.push_back(field);
+    return out;
+}
+
+TEST(ObsEndToEnd, CsvLegsSumToTotal)
+{
+    // Bank contention on, so the queue leg is exercised alongside the
+    // L1/L2/LLC/DRAM/MSHR legs.
+    SystemConfig cfg = tinyConfig(2);
+    cfg.garibaldiEnabled = true;
+    cfg.llcBanks = 2;
+    cfg.llcBankServiceCycles = 4;
+    cfg.obs = tracingConfig(1, 4096);
+    System sys(cfg, homogeneousMix("tpcc", 2));
+    Simulator sim(sys);
+    sim.run(500, 2000);
+    ASSERT_NE(sys.obs(), nullptr);
+
+    std::stringstream csv(sys.obs()->tracer()->csv());
+    std::string line;
+    ASSERT_TRUE(std::getline(csv, line));
+    const std::vector<std::string> header = csvFields(line);
+    const std::vector<std::string> want = {
+        "issued", "core", "seq", "line", "class", "level", "write",
+        "llc_hit", "llc_bank", "l1", "l2", "llc", "queue", "dram",
+        "dram_queue", "mshr", "total", "row_leg", "turnaround",
+        "refresh_stalled"};
+    ASSERT_EQ(header, want);
+    auto column = [&header](const std::string &name) {
+        return static_cast<std::size_t>(
+            std::find(header.begin(), header.end(), name) -
+            header.begin());
+    };
+    // dram_queue is the channel-queue share of dram, not its own leg.
+    const std::vector<std::size_t> legs = {
+        column("l1"), column("l2"), column("llc"), column("queue"),
+        column("dram"), column("mshr")};
+
+    std::size_t rows = 0;
+    std::uint64_t queued = 0, dram = 0;
+    while (std::getline(csv, line)) {
+        SCOPED_TRACE(line);
+        std::vector<std::string> f = csvFields(line);
+        ASSERT_EQ(f.size(), header.size());
+        std::uint64_t sum = 0;
+        for (std::size_t c : legs)
+            sum += std::stoull(f[c]);
+        EXPECT_EQ(sum, std::stoull(f[column("total")]));
+        EXPECT_LE(std::stoull(f[column("dram_queue")]),
+                  std::stoull(f[column("dram")]));
+        queued += std::stoull(f[column("queue")]);
+        dram += std::stoull(f[column("dram")]);
+        ++rows;
+    }
+    EXPECT_EQ(rows, sys.obs()->tracer()->mergedRecords().size());
+    EXPECT_GT(queued, 0u);
+    EXPECT_GT(dram, 0u);
 }
 
 TEST(ObsEndToEnd, RerunsAreByteIdentical)

@@ -245,17 +245,6 @@ class NaiveLruCache
         return ev;
     }
 
-    bool
-    invalidate(Addr line_addr)
-    {
-        Line *l = find(line_addr);
-        if (!l)
-            return false;
-        bool was_dirty = l->dirty;
-        *l = Line{};
-        return was_dirty;
-    }
-
     const Line &at(std::uint32_t set, std::uint32_t way) const
     {
         return lines[set][way];
@@ -302,11 +291,6 @@ TEST(CacheDifferential, MatchesNaiveLruModel)
             a.isInstr = rng.chance(0.3);
             a.isWrite = !a.isInstr && rng.chance(0.2);
             a.isPrefetch = rng.chance(0.1);
-            if (rng.chance(0.02)) {
-                ASSERT_EQ(cache.invalidate(a.paddr),
-                          ref.invalidate(a.lineAddr())) << "step " << i;
-                continue;
-            }
             bool hit = cache.access(a);
             ASSERT_EQ(hit, ref.access(a)) << "step " << i;
             // Occasionally re-insert a resident line, as a writeback

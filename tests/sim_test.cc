@@ -428,7 +428,6 @@ exportedStatNames(const SystemConfig &cfg, bool with_monitors)
     std::vector<StatSet> sets = {
         r.mem, r.garibaldi, r.tlb, r.obs,
         computeEnergy(r, cfg).toStatSet(),
-        sys.hierarchy().directory().stats(),
         sys.core(0).branchPredictor().stats()};
     if (with_monitors) {
         sets.push_back(reuse.stats());
