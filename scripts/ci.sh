@@ -161,6 +161,7 @@ echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 # must be byte-identical across --jobs.  fig11 is also diffed at
 # --jobs 8, which pins the threaded parallelFor path (including the
 # solo-IPC pre-warm its random mixes trigger) against the same bytes.
+# fig03 runs the I-oracle, whose LLC instruction hits have no frame.
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
@@ -170,7 +171,9 @@ echo "== obs: knobs-off byte-identity vs goldens =="
     --jobs 1 > "$build/golden_fig11.txt"
 "$build/fig11_end_to_end" --warmup 10000 --instr 20000 --mixes 2 \
     --jobs 8 > "$build/golden_fig11_j8.txt"
-for out in quickstart fig04 fig11 fig11_j8; do
+"$build/fig03_characterization" --warmup 20000 --instr 50000 \
+    > "$build/golden_fig03.txt"
+for out in quickstart fig04 fig11 fig11_j8 fig03; do
   g="${out%_j8}"
   if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" \
       > /dev/null; then
@@ -179,7 +182,7 @@ for out in quickstart fig04 fig11 fig11_j8; do
     exit 1
   fi
 done
-echo "quickstart/fig04/fig11 (--jobs 1 and 8): byte-identical to goldens with obs off"
+echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03: byte-identical to goldens with obs off"
 
 # Audit mode is a pure checker: enabling --audit must not perturb a
 # single output byte on a healthy run.

@@ -114,17 +114,23 @@ Cache::checkedSetCount(const CacheParams &p)
     return sets;
 }
 
-// All three frame arrays encode an invalid frame as zero, so they are
+// Every frame array encodes an invalid frame as zero, so they are
 // zeroed arrays: a frame's page is first written by a fill.
-Cache::Cache(const CacheParams &params_)
-    : params(params_), nSets(checkedSetCount(params_)),
-      pending(params_.mshrs),
+Cache::Cache(const CacheParams &params_, MshrBook book_)
+    : params(params_), nSets(checkedSetCount(params_)), book(book_),
+      pending(book_ == MshrBook::Table
+                  ? std::make_unique<PendingTable>(params_.mshrs)
+                  : nullptr),
       oracleSeen(params_.instrOracle
                      ? std::make_unique<FlatLineMap<std::uint8_t>>()
                      : nullptr),
       probeTags(makeZeroedArray<Addr>(std::size_t{nSets} * params_.assoc)),
       lineState(makeZeroedArray<std::uint8_t>(std::size_t{nSets} *
                                               params_.assoc)),
+      fillReady(book_ != MshrBook::Table
+                    ? makeZeroedArray<Cycle>(std::size_t{nSets} *
+                                             params_.assoc)
+                    : ZeroedArray<Cycle>()),
       lastUse(params_.instrPartitionWays > 0
                   ? makeZeroedArray<Tick>(std::size_t{nSets} * params_.assoc)
                   : ZeroedArray<Tick>()),
@@ -306,11 +312,12 @@ Cache::access(const MemAccess &acc)
     }
 
     if (resident) {
+        std::size_t i = frameIndex(set, way);
+        lastFrame = i;
         if (!acc.isPrefetch) {
             ++stat.hits;
             if (acc.isInstr)
                 ++stat.instrHits;
-            std::size_t i = frameIndex(set, way);
             if (lineState[i] & kPrefetched) {
                 lineState[i] &= ~kPrefetched;
                 ++stat.prefetchUseful;
@@ -411,9 +418,11 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
                                                     first_invalid);
     if (resident_way < params.assoc) {
         // Already present (e.g. writeback into a still-resident line or
-        // a prefetch racing a demand fill): just merge status bits.
+        // a prefetch racing a demand fill): just merge status bits.  An
+        // in-flight fill of the line stays booked.
+        lastFrame = frameIndex(set, resident_way);
         if (dirty || acc.isWrite)
-            lineState[frameIndex(set, resident_way)] |= kDirty;
+            lineState[lastFrame] |= kDirty;
         return {};
     }
 
@@ -447,6 +456,9 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
     lineState[i] = static_cast<std::uint8_t>(
         (dirty || acc.isWrite ? kDirty : 0) | (acc.isInstr ? kInstr : 0) |
         (acc.isPrefetch ? kPrefetched : 0));
+    if (fillReady)
+        fillReady[i] = 0;
+    lastFrame = i;
     if (lastUse)
         lastUse[i] = ++useTick;
     repl.onInsert(set, way, acc);
@@ -467,33 +479,91 @@ Cache::setDirty(Addr line_addr)
         lineState[frameIndex(set, w)] |= kDirty;
 }
 
+std::size_t
+Cache::residentFrame(Addr line_addr) const
+{
+    Addr tag = lineNumber(line_addr);
+    if (probeTags[lastFrame] == (tag | kValidTag))
+        return lastFrame;
+    std::uint32_t set = setOf(line_addr);
+    std::uint32_t way = probeWay(set, tag);
+    return way < params.assoc ? frameIndex(set, way) : kNoFrame;
+}
+
+void
+Cache::pruneInFlight(Cycle now)
+{
+    // The clock never goes backwards, so a miss complete by now is
+    // complete for every later question too.
+    inFlight.erase(std::remove_if(inFlight.begin(), inFlight.end(),
+                                  [now](const InFlight &f) {
+                                      return f.ready <= now;
+                                  }),
+                   inFlight.end());
+}
+
 void
 Cache::addPending(Addr line_addr, Cycle ready, Cycle now)
 {
     // A fill booked to complete before its own issue instant would make
-    // mshrsFull()/pendingReady() lie about in-flight state — the exact
-    // class of bug the PR-5 backfill completesAt fix closed.
+    // mshrsFull()/pendingReady() lie about in-flight state, as DRAM
+    // backfills did before Dram reported their booked completesAt.
     SIM_ASSERT(ready >= now, params.name, ": MSHR booking for line ",
                lineNumber(line_addr), " completes at ", ready,
                " which precedes the caller's clock ", now);
-    pending.set(lineNumber(line_addr), ready);
+    Addr key = lineNumber(line_addr);
+    if (book == MshrBook::Table) {
+        pending->set(key, ready);
+        return;
+    }
+    std::size_t i = residentFrame(line_addr);
+    SIM_ASSERT(i != kNoFrame, params.name, ": MSHR booking for line ",
+               key, " which is not resident");
+    if (i != kNoFrame)
+        fillReady[i] = ready;
+    if (book != MshrBook::FrameAndList)
+        return;
+    pruneInFlight(now);
+    for (InFlight &f : inFlight) {
+        if (f.line == key) {
+            f.ready = ready;
+            return;
+        }
+    }
+    inFlight.push_back({key, ready});
 }
 
 Cycle
 Cache::pendingReady(Addr line_addr, Cycle now)
 {
     Addr key = lineNumber(line_addr);
-    Cycle ready = pending.get(key);
-    if (ready == 0) {
-        // The compaction schedule is unobservable only if no booking it
-        // dropped could still be in flight at a later query's clock.
-        SIM_ASSERT(pending.droppedReady(key) <= now, params.name,
-                   ": compaction dropped line ", key, " in flight until ",
-                   pending.droppedReady(key), ", queried at ", now);
-        return 0;
+    if (book == MshrBook::Table) {
+        Cycle ready = pending->get(key);
+        if (ready == 0) {
+            // The compaction schedule is unobservable only if no
+            // booking it dropped could still be in flight at a later
+            // query's clock.
+            SIM_ASSERT(pending->droppedReady(key) <= now, params.name,
+                       ": compaction dropped line ", key,
+                       " in flight until ", pending->droppedReady(key),
+                       ", queried at ", now);
+            return 0;
+        }
+        if (ready <= now) {
+            pending->erase(key);
+            return 0;
+        }
+        ++stat.mshrMerges;
+        return ready;
     }
+    std::size_t i = residentFrame(line_addr);
+    if (i == kNoFrame)
+        return 0;
+    Cycle &ready = fillReady[i];
+    if (ready == 0)
+        return 0;
     if (ready <= now) {
-        pending.erase(key);
+        ready = 0;
         return 0;
     }
     ++stat.mshrMerges;
@@ -503,11 +573,18 @@ Cache::pendingReady(Addr line_addr, Cycle now)
 bool
 Cache::mshrsFull(Cycle now)
 {
-    if (pending.size() < params.mshrs)
+    if (book == MshrBook::FrameAndList) {
+        pruneInFlight(now);
+        return inFlight.size() >= params.mshrs;
+    }
+    if (book != MshrBook::Table)
+        panic(params.name, ": mshrsFull() asked of a cache that counts "
+              "no in-flight misses");
+    if (pending->size() < params.mshrs)
         return false;
     // Lazily prune completed fills before declaring pressure.
-    pending.pruneExpired(now);
-    return pending.size() >= params.mshrs;
+    pending->pruneExpired(now);
+    return pending->size() >= params.mshrs;
 }
 
 void

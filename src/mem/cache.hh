@@ -7,11 +7,11 @@
  *
  * The replacement policy is held by value: a closed variant over the
  * policy classes (replacement.hh) whose hooks dispatch on its index,
- * with no heap object and no virtual call.  The pending-fill book and
- * the oracle's seen-set are open-addressed flat tables
- * (flat_tables.hh): no node allocation or hashing through
- * std::unordered_map on the access path.  Only an oracle cache builds
- * the seen-set.
+ * with no heap object and no virtual call.  A resident line's fill-ready
+ * cycle lives in its frame; a private L1 also keeps a short exact list
+ * of its in-flight misses, and only LLC banks under the contention
+ * model keep the hashed pending-fill table (flat_tables.hh).  Only an
+ * oracle cache builds the oracle's seen-set.
  */
 
 #ifndef GARIBALDI_MEM_CACHE_HH
@@ -147,11 +147,36 @@ struct Eviction
     bool isInstr = false;
 };
 
+/**
+ * How a cache books its in-flight fills.  Whoever builds the cache
+ * picks the book from the questions it will be asked.
+ */
+enum class MshrBook : std::uint8_t
+{
+    /**
+     * Fill-ready cycle in the frame, plus an exact list of in-flight
+     * misses that answers mshrsFull().  Needs a non-decreasing query
+     * clock: a private L1, queried only at its own core's clock.
+     */
+    FrameAndList,
+    /** Fill-ready cycle in the frame only; mshrsFull() is never asked
+     *  (the L2s, an LLC without the contention model). */
+    Frame,
+    /**
+     * The hashed PendingTable, which also counts bookings of lines no
+     * longer resident.  LLC banks under the contention model, whose
+     * shared clock is not monotone: their answers depend on query
+     * order, and any other book would change them.
+     */
+    Table,
+};
+
 /** Set-associative cache. */
 class Cache
 {
   public:
-    explicit Cache(const CacheParams &params);
+    explicit Cache(const CacheParams &params,
+                   MshrBook book = MshrBook::FrameAndList);
 
     /**
      * Demand or prefetch lookup.  Updates replacement state and stats.
@@ -177,17 +202,19 @@ class Cache
 
     /**
      * Record an in-flight miss for @p line completing at @p ready.
-     * The entry occupies one MSHR until @p ready passes (pruned
-     * lazily), so what the caller books here is what mshrsFull()
-     * measures: with DRAM-fed residency (HierarchyParams::
-     * dramFedLlcMshrs) the LLC banks book the channel's fill
-     * completion instant, making MSHR pressure track real memory
-     * backpressure.
+     * Callers book right after inserting the line, so a frame book
+     * writes the fill-ready cycle of the line's frame (audit mode
+     * checks the line is resident).  In the in-flight list or the
+     * table, the miss also occupies one MSHR until @p ready passes, so
+     * what the caller books here is what mshrsFull() measures: with
+     * DRAM-fed residency (HierarchyParams::dramFedLlcMshrs) the LLC
+     * banks book the channel's fill completion instant, making MSHR
+     * pressure track real memory backpressure.
      *
      * @param now the caller's clock when it is booking; audit mode
      *        checks the booked completion never lies in the past
-     *        (ready >= now), which every timing path guarantees and
-     *        the PR-5 completesAt fix restored for backfills.  The
+     *        (ready >= now), which every timing path guarantees,
+     *        DRAM backfills included (Dram's completesAt).  The
      *        default 0 keeps clockless callers (tests, warm state
      *        seeding) working — the check degenerates to ready >= 0.
      */
@@ -195,11 +222,21 @@ class Cache
 
     /**
      * Completion time of an in-flight fill of @p line, or 0 when none.
-     * Entries whose time passed are pruned.
+     * Asked on a hit; a booking whose time passed is cleared, so a
+     * later query at an earlier clock (another core of a shared cache)
+     * sees none either.  A frame book answers 0 for a line that is not
+     * resident (an I-oracle hit) and for a line evicted while in
+     * flight and then re-allocated without a booking (a writeback).
      */
     Cycle pendingReady(Addr line_addr, Cycle now);
 
-    /** True when all MSHRs are busy at @p now. */
+    /**
+     * True when all MSHRs are busy at @p now.  Exact for the in-flight
+     * list, whose clock never goes backwards.  The table's pruning and
+     * erase-on-query are exact only at a monotone query clock: on a
+     * shared LLC bank, a leading core's prune hides a fill still in
+     * flight for a lagging core.  A Frame book has no count to ask.
+     */
     bool mshrsFull(Cycle now);
 
     // ---- bank contention model (bankServiceCycles > 0) ---------------
@@ -277,15 +314,30 @@ class Cache
                              bool instr_class,
                              std::uint32_t first_invalid);
     std::uint32_t pickPartitionVictim(std::uint32_t set, bool instr_class);
+    /** Frame holding @p line_addr, or kNoFrame when it is not resident;
+     *  tries the last frame accessed or filled before probing. */
+    std::size_t residentFrame(Addr line_addr) const;
+    static constexpr std::size_t kNoFrame = ~std::size_t{0};
+
+    /** One in-flight miss of a FrameAndList book. */
+    struct InFlight
+    {
+        Addr line;
+        Cycle ready;
+    };
+    /** Drop the in-flight misses complete by @p now. */
+    void pruneInFlight(Cycle now);
 
     CacheParams params;
     std::uint32_t nSets;
+    MshrBook book;
     // Members are constructed, and so allocate, in declaration order:
-    // the construction-written MSHR book, then the zeroed frame arrays,
-    // then the policy.  Constructing the policy first measured up to
-    // 0.6 MB more peak RSS (fig11_sweep) and slower System setup
+    // the construction-written MSHR table, then the zeroed frame
+    // arrays, then the policy.  Constructing the policy first measured
+    // up to 0.6 MB more peak RSS (fig11_sweep) and slower System setup
     // (spec8_lru) in the benchmark.
-    PendingTable pending;
+    /** The MshrBook::Table book; built only for that book. */
+    std::unique_ptr<PendingTable> pending;
     /** I-oracle: instruction lines touched so far (1 = seen); built
      *  only when params.instrOracle is set. */
     std::unique_ptr<FlatLineMap<std::uint8_t>> oracleSeen;
@@ -298,6 +350,10 @@ class Cache
      */
     ZeroedArray<Addr> probeTags;
     ZeroedArray<std::uint8_t> lineState;
+    /** Per-frame fill-ready cycle, 0 when no fill is in flight; zeroed
+     *  when a line is allocated into the frame.  Empty for a Table
+     *  book. */
+    ZeroedArray<Cycle> fillReady;
     /** Per-frame LRU stamps; allocated only with way partitioning, the
      *  one victim path that reads them. */
     ZeroedArray<Tick> lastUse;
@@ -306,6 +362,11 @@ class Cache
     LlcCompanion *companion = nullptr;
     Cycle qbsCycles = 0;
     Tick useTick = 0;
+    /** Frame of the last hit or insert (residentFrame()'s first try). */
+    std::size_t lastFrame = 0;
+    /** MshrBook::FrameAndList: the misses not yet seen complete, one
+     *  entry per line, holding its latest booking. */
+    std::vector<InFlight> inFlight;
     /** Per-slot busy-until cycles; sized at construction (empty when
      *  the contention model is off) so the demand path never allocates. */
     std::vector<Cycle> tagBusyUntil;

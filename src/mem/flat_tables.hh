@@ -7,7 +7,8 @@
  *  - FlatLineMap:          line → value map (the I-oracle's memory,
  *                          the page table, the monitor books and the
  *                          audit-mode drop record),
- *  - PendingTable:         line → fill-ready cycle (the MSHR book),
+ *  - PendingTable:         line → fill-ready cycle (the MSHR book of
+ *                          an LLC bank under the contention model),
  *  - DecayingCounterTable: bounded line → saturating counter map with
  *                          periodic decay (instruction criticality),
  *                          a wrapper over FlatLineMap.
@@ -180,29 +181,36 @@ class FlatLineMap
 };
 
 /**
- * Open-addressed line → ready-cycle map modeling in-flight fills.
+ * Open-addressed line → ready-cycle map modeling in-flight fills: the
+ * MSHR book of an LLC bank under the contention model.  (Every other
+ * cache keeps a resident line's fill-ready cycle in its frame; see
+ * MshrBook in cache.hh.)
  *
  * Lookups observe-and-erase completed entries (the lazy-expiry semantics
- * of the map this replaces), so a table nobody prunes keeps every
- * booking until compaction reclaims it.  When the table would pass 75 %
- * load, compact() drops entries whose ready time lies more than
- * kExpirySlack cycles behind the latest scheduled fill and rehashes the
- * rest into a table at most half full, reusing a spare buffer.  No query
- * clock trails the newest booking by that much, so no query can still
- * see a dropped entry in flight and the compaction schedule is
- * unobservable; audit mode checks exactly that (droppedReady()).
+ * of the map this replaces).  When the table would pass 75 % load,
+ * compact() drops entries whose ready time lies more than kExpirySlack
+ * cycles behind the latest scheduled fill and rehashes the rest into a
+ * table at most half full, reusing a spare buffer.  No query clock
+ * trails the newest booking by that much, so no query can still see a
+ * dropped entry in flight and the compaction schedule is unobservable;
+ * audit mode checks exactly that (droppedReady()).
  *
- * Owners that ask how many fills are in flight (mshrsFull) call
- * pruneExpired(), which is exact.  Its book is a lazy min-heap of
- * (ready, key) records, built from the live table on the first prune
- * and kept from then on: set() pushes one record per booking and never
- * edits old ones, and pruneExpired() pops records whose time has come,
- * tombstoning the table entry only when the record still matches it (a
- * refresh, erase or compaction leaves a stale record behind, which the
- * pop skips).  Every live (key, ready) pair has a matching record, so
- * draining the heap to @c now leaves the table holding exactly the fills
- * still in flight.  Tables that never prune (L2, an LLC without the
- * contention model) keep no heap at all.
+ * pruneExpired(now) drops every entry whose ready time has passed
+ * @c now, using a lazy min-heap of (ready, key) records: set() pushes
+ * one record per booking and never edits old ones, and pruneExpired()
+ * pops records whose time has come, tombstoning the table entry only
+ * when the record still matches it (a refresh, erase or compaction
+ * leaves a stale record behind, which the pop skips).  Every live
+ * (key, ready) pair has a matching record, so after pruneExpired(now)
+ * the table holds exactly the bookings not yet seen complete.
+ *
+ * That count, and get() after an erase-on-query, are the fills in
+ * flight at @c now only when the query clock never goes backwards.  A
+ * bank's clock is shared by every core and is not monotone: a leading
+ * core's prune or erase hides a fill that is still in flight at a
+ * lagging core's clock, so the answers depend on query order.  The
+ * contention model keeps this behaviour; retiring the model retires
+ * the table.
  */
 class PendingTable
 {
@@ -215,8 +223,8 @@ class PendingTable
      * latency plus cross-core skew, and under saturated-contention
      * sweeps that tail reaches tens of thousands of cycles — a 64k
      * horizon was observed to flip pendingReady() answers on the 16-core
-     * banked contention mix.  (Routine cleanup is pruneExpired(), which
-     * is exact; this slack only gates compaction.)
+     * banked contention mix.  (Routine cleanup is pruneExpired(); this
+     * slack only gates compaction.)
      */
     static constexpr Cycle kExpirySlack = Cycle{1} << 18;
 
@@ -257,8 +265,6 @@ class PendingTable
         }
         if (dropped)
             dropped->erase(key); // the new booking supersedes the drop
-        if (!pruning)
-            return;
         expiry.emplace_back(ready_at, key);
         std::push_heap(expiry.begin(), expiry.end(), std::greater<>{});
         // Stale records (refreshes, erases, compaction drops) pile up
@@ -305,16 +311,11 @@ class PendingTable
      * Drop every entry whose ready time has passed @p now: pop expiry
      * records due by @p now and tombstone each one that still matches
      * its table entry (mismatches are stale records of a booking that
-     * was since refreshed, erased or dropped — skipped).  The first
-     * call builds the heap from the live table.
+     * was since refreshed, erased or dropped — skipped).
      */
     void
     pruneExpired(Cycle now)
     {
-        if (!pruning) {
-            pruning = true;
-            rebuildExpiry();
-        }
         while (!expiry.empty() && expiry.front().first <= now) {
             std::pop_heap(expiry.begin(), expiry.end(),
                           std::greater<>{});
@@ -418,8 +419,7 @@ class PendingTable
 
     std::vector<Slot> slots;
     std::vector<Slot> spare;  //!< compaction target, reused
-    /** Min-heap of (ready, key) bookings; may hold stale records.
-     *  Empty until the first pruneExpired(). */
+    /** Min-heap of (ready, key) bookings; may hold stale records. */
     std::vector<std::pair<Cycle, Addr>> expiry;
     /** Audit-only book of compaction drops (see droppedReady()). */
     std::unique_ptr<FlatLineMap<Cycle>> dropped;
@@ -427,7 +427,6 @@ class PendingTable
     std::size_t filled = 0;
     std::size_t tombs = 0;
     Cycle watermark = 0;
-    bool pruning = false;     //!< pruneExpired() has run: keep the heap
 };
 
 /**

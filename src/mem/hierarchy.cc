@@ -34,12 +34,16 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
         static_cast<std::uint32_t>(divCeil(params.numCores,
                                            params.coresPerL2));
     for (CoreId c = 0; c < params.numCores; ++c) {
+        // A private L1 is asked only at its own core's clock, which
+        // never goes backwards: it can count its misses exactly.
         CacheParams p1i = params.l1i;
         p1i.name = "l1i" + std::to_string(c);
-        l1is.push_back(std::make_unique<Cache>(p1i));
+        l1is.push_back(
+            std::make_unique<Cache>(p1i, MshrBook::FrameAndList));
         CacheParams p1d = params.l1d;
         p1d.name = "l1d" + std::to_string(c);
-        l1ds.push_back(std::make_unique<Cache>(p1d));
+        l1ds.push_back(
+            std::make_unique<Cache>(p1d, MshrBook::FrameAndList));
         l1dPf.push_back(params.l1dNextLinePrefetcher
                             ? std::make_unique<NextLinePrefetcher>(1)
                             : nullptr);
@@ -50,7 +54,8 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     for (std::uint32_t cl = 0; cl < clusters; ++cl) {
         CacheParams p2 = params.l2;
         p2.name = "l2." + std::to_string(cl);
-        l2s.push_back(std::make_unique<Cache>(p2));
+        // No L2 question counts in-flight misses.
+        l2s.push_back(std::make_unique<Cache>(p2, MshrBook::Frame));
         l2Pf.push_back(params.l2GhbPrefetcher
                            ? std::make_unique<GhbPrefetcher>()
                            : nullptr);

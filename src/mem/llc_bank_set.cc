@@ -41,7 +41,11 @@ LlcBankSet::LlcBankSet(const CacheParams &llc, std::uint32_t banks,
         p.indexSkipShift = interleave_shift;
         p.indexSkipBits = bank_bits;
         assigned_mshrs += p.mshrs;
-        banks_.push_back(std::make_unique<Cache>(p));
+        // Only the contention model asks a bank whether its MSHRs are
+        // full; its banks keep the table, whose answers at the shared,
+        // non-monotone clock depend on query order.
+        banks_.push_back(std::make_unique<Cache>(
+            p, p.bankServiceCycles > 0 ? MshrBook::Table : MshrBook::Frame));
     }
     // The remainder-first split must conserve the whole-LLC budget
     // (modulo the every-bank-keeps-one clamp when banks > mshrs).

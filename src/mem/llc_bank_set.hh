@@ -85,7 +85,8 @@ class LlcBankSet
      * (e.g. bank 0) under- or over-reports pressure when banks > 1.
      * Entry lifetimes come from addPending — with DRAM-fed residency
      * they end at the channel's fill completion instant, so a
-     * congested memory system keeps this true for longer.
+     * congested memory system keeps this true for longer.  Only banks
+     * under the contention model count in-flight misses.
      */
     bool mshrsFull(Addr line_addr, Cycle now)
     {

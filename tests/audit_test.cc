@@ -113,22 +113,57 @@ TEST_F(AuditTest, BankedLlcConstructionPassesTheSplitCheck)
 
 // ---- MSHR booked-completion >= caller clock ------------------------
 
-TEST_F(AuditTest, AddPendingFiresOnCompletionInThePast)
+/** A frame-booked L2 holding lines 0x1000, 0x2000 and 0x3000. */
+Cache
+filledL2()
 {
     CacheParams p;
     p.name = "l2";
-    Cache c(p);
+    Cache c(p, MshrBook::Frame);
+    for (Addr a : {0x1000, 0x2000, 0x3000}) {
+        MemAccess acc;
+        acc.paddr = a;
+        c.insert(acc);
+    }
+    return c;
+}
+
+TEST_F(AuditTest, AddPendingFiresOnCompletionInThePast)
+{
+    Cache c = filledL2();
     EXPECT_DEATH(c.addPending(0x1000, 5, 10), "audit: ");
 }
 
 TEST_F(AuditTest, AddPendingSilentOnFutureCompletion)
 {
-    CacheParams p;
-    p.name = "l2";
-    Cache c(p);
+    Cache c = filledL2();
     c.addPending(0x1000, 10, 5);
     c.addPending(0x2000, 7, 7);
     c.addPending(0x3000, 9);  // clockless caller: now defaults to 0
+    SUCCEED();
+}
+
+// ---- a frame book books only resident lines ------------------------
+
+TEST_F(AuditTest, AddPendingFiresOnLineNotResident)
+{
+    // Every hierarchy call site books right after inserting the line;
+    // a frame book has nowhere to keep a booking of any other line.
+    for (MshrBook book : {MshrBook::FrameAndList, MshrBook::Frame}) {
+        CacheParams p;
+        p.name = "l1d";
+        Cache c(p, book);
+        EXPECT_DEATH(c.addPending(0x1000, 10, 5), "audit: .*not resident");
+    }
+}
+
+TEST_F(AuditTest, AddPendingOfNonResidentLineSilentInTableBook)
+{
+    // The table keeps a booking past its line's eviction.
+    CacheParams p;
+    p.name = "llc";
+    Cache c(p, MshrBook::Table);
+    c.addPending(0x1000, 10, 5);
     SUCCEED();
 }
 

@@ -3,8 +3,8 @@
  * Unit tests for the set-associative cache: geometry, hit/miss paths,
  * eviction/writeback, MSHR pending-merge, the instruction bit, the
  * prefetched bit, the I-oracle mode, way partitioning and the QBS
- * companion hooks; the MSHR book (PendingTable) against a std::map
- * reference.
+ * companion hooks; the contention model's MSHR table (PendingTable)
+ * against a std::map reference.
  */
 
 #include <gtest/gtest.h>
@@ -144,6 +144,7 @@ TEST(Cache, PrefetchAccessDoesNotCountStats)
 TEST(Cache, PendingMergeReportsReadyTime)
 {
     Cache c(smallParams());
+    c.insert(makeAccess(0x1000));
     c.addPending(0x1000, 500);
     EXPECT_EQ(c.pendingReady(0x1000, 100), 500u);
     EXPECT_EQ(c.stats().mshrMerges, 1u);
@@ -157,8 +158,10 @@ TEST(Cache, MshrsFullDetection)
     CacheParams p = smallParams();
     p.mshrs = 2;
     Cache c(p);
+    c.insert(makeAccess(0x1000));
     c.addPending(0x1000, 1000);
     EXPECT_FALSE(c.mshrsFull(0));
+    c.insert(makeAccess(0x2000));
     c.addPending(0x2000, 1000);
     EXPECT_TRUE(c.mshrsFull(0));
     // Completed fills free MSHRs.
@@ -173,8 +176,8 @@ TEST(Cache, MshrsFullDetection)
  * get-and-erase answer (Cache::pendingReady) matches, the table holds
  * exactly the reference entries compaction did not drop, and after each
  * prune its size() equals the reference's in-flight count.  The first
- * half of the stream never prunes (an L2's book); the second half adds
- * prunes (an L1's book), whose first call builds the expiry heap.
+ * half of the stream never prunes, so stale expiry records pile up
+ * until set() rebuilds the heap; the second half adds prunes.
  */
 TEST(PendingTable, MatchesMapReference)
 {

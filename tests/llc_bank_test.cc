@@ -271,13 +271,17 @@ TEST(LlcBankSet, MshrPressureIsPerBank)
 {
     // Full-MSHR checks must consult the owning bank's book: per-bank
     // capacities are a fraction of the whole-LLC budget, so a fixed
-    // (monolithic) check under- or over-reports pressure.
+    // (monolithic) check under- or over-reports pressure.  Only the
+    // contention model charges bank MSHR pressure, so it is on.
     CacheParams p = llcParams();
     p.mshrs = 8; // 2 per bank
+    p.bankServiceCycles = 1;
     LlcBankSet banks(p, 4, 0);
     // Two in-flight fills on bank 0 (lines 0 and 4 with 4 banks).
-    banks.addPending(Addr{0} * kLineBytes, 1 << 20);
-    banks.addPending(Addr{4} * kLineBytes, 1 << 20);
+    for (Addr line : {0, 4}) {
+        banks.insert(load(line * kLineBytes));
+        banks.addPending(line * kLineBytes, 1 << 20);
+    }
     EXPECT_TRUE(banks.mshrsFull(Addr{0} * kLineBytes, 0));
     EXPECT_TRUE(banks.mshrsFull(Addr{8} * kLineBytes, 0));
     // Bank 1 is idle: no pressure there.

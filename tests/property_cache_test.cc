@@ -328,6 +328,98 @@ TEST(CacheDifferential, MatchesNaiveLruModel)
 }
 
 // --------------------------------------------------------------------
+// Differential test: the frame MSHR books against a std::map.
+// --------------------------------------------------------------------
+
+/**
+ * The frame books (MshrBook::FrameAndList, an L1's; MshrBook::Frame, an
+ * L2's) against a std::map of line → latest booking, under a random
+ * stream at a non-decreasing clock: demand fills that book their line,
+ * writeback-style inserts that do not, and hits that ask pendingReady().
+ * The L1 book's mshrsFull() must equal "at least mshrs bookings still in
+ * flight", evicted lines included.  The one place a frame book differs
+ * from the map is pinned: a line evicted while in flight and then
+ * re-allocated by a writeback reports no pending fill.
+ */
+TEST(CacheDifferential, FrameMshrBooksMatchMapReference)
+{
+    for (MshrBook book : {MshrBook::FrameAndList, MshrBook::Frame}) {
+        SCOPED_TRACE(book == MshrBook::Frame ? "frame" : "frame+list");
+        CacheParams p;
+        p.name = "mshr";
+        p.sizeBytes = 2 * 1024; // 32 lines
+        p.assoc = 4;            // 8 sets
+        p.mshrs = 6;
+        Cache cache(p, book);
+        bool counts = book == MshrBook::FrameAndList;
+        std::map<Addr, Cycle> booked;
+        // Lines whose residency began with a writeback insert while a
+        // booking of theirs was still in flight: the frame forgot it.
+        std::set<Addr> reborn;
+        Pcg32 rng(7, 23);
+        Cycle now = 0;
+        std::uint64_t merges = 0, pinned = 0, pinned_queries = 0;
+        std::uint64_t full = 0, not_full = 0;
+        for (int step = 0; step < 200000; ++step) {
+            now += rng.nextBounded(6);
+            Addr line = rng.nextBounded(96);
+            MemAccess a;
+            a.paddr = line << kLineShift;
+            std::uint32_t op = rng.nextBounded(10);
+            if (op < 6) {
+                // Demand access: a hit asks for the fill, a miss fills
+                // and books.
+                if (cache.access(a)) {
+                    Cycle want = 0;
+                    auto it = booked.find(line);
+                    if (it != booked.end() && it->second > now &&
+                        !reborn.count(line))
+                        want = it->second;
+                    if (want == 0 && it != booked.end() &&
+                        it->second > now)
+                        ++pinned_queries;
+                    ASSERT_EQ(cache.pendingReady(a.paddr, now), want)
+                        << "step " << step << " line " << line;
+                    merges += want != 0;
+                } else {
+                    cache.insert(a);
+                    Cycle ready = now + 1 + rng.nextBounded(150);
+                    cache.addPending(a.paddr, ready, now);
+                    booked[line] = ready;
+                    reborn.erase(line);
+                }
+            } else if (op < 9) {
+                // Writeback-style insert: allocates without booking.
+                bool resident = cache.contains(a.paddr);
+                a.isPrefetch = true;
+                cache.insert(a, /*dirty=*/true);
+                auto it = booked.find(line);
+                if (!resident && it != booked.end() && it->second > now) {
+                    reborn.insert(line);
+                    ++pinned;
+                }
+            } else if (counts) {
+                std::size_t in_flight = 0;
+                for (const auto &[l, ready] : booked)
+                    in_flight += ready > now;
+                bool want = in_flight >= p.mshrs;
+                ASSERT_EQ(cache.mshrsFull(now), want) << "step " << step;
+                ++(want ? full : not_full);
+            }
+        }
+        EXPECT_EQ(cache.stats().mshrMerges, merges);
+        EXPECT_GT(merges, 1000u);
+        EXPECT_GT(pinned, 100u) << "stream never re-allocated an "
+                                   "in-flight line by a writeback";
+        EXPECT_GT(pinned_queries, 10u);
+        if (counts) {
+            EXPECT_GT(full, 100u);
+            EXPECT_GT(not_full, 100u);
+        }
+    }
+}
+
+// --------------------------------------------------------------------
 // Flat line-keyed tables against std::map references.
 // --------------------------------------------------------------------
 
