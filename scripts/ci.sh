@@ -162,6 +162,8 @@ echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 # --jobs 8, which pins the threaded parallelFor path (including the
 # solo-IPC pre-warm its random mixes trigger) against the same bytes.
 # fig03 runs the I-oracle, whose LLC instruction hits have no frame.
+# fig14d runs the way-partitioned LLC, the one victim path that reads
+# the cache's own LRU stamps (pickPartitionVictim).
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
@@ -173,7 +175,9 @@ echo "== obs: knobs-off byte-identity vs goldens =="
     --jobs 8 > "$build/golden_fig11_j8.txt"
 "$build/fig03_characterization" --warmup 20000 --instr 50000 \
     > "$build/golden_fig03.txt"
-for out in quickstart fig04 fig11 fig11_j8 fig03; do
+"$build/fig14_sensitivity" --part d --warmup 20000 --instr 50000 \
+    > "$build/golden_fig14d.txt"
+for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d; do
   g="${out%_j8}"
   if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" \
       > /dev/null; then
@@ -182,7 +186,7 @@ for out in quickstart fig04 fig11 fig11_j8 fig03; do
     exit 1
   fi
 done
-echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03: byte-identical to goldens with obs off"
+echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03/fig14d: byte-identical to goldens with obs off"
 
 # Audit mode is a pure checker: enabling --audit must not perturb a
 # single output byte on a healthy run.

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/intmath.hh"
 #include "common/rng.hh"
 #include "garibaldi/dppn_table.hh"
 #include "garibaldi/pair_table.hh"
@@ -176,6 +177,21 @@ INSTANTIATE_TEST_SUITE_P(
 // --------------------------------------------------------------------
 
 /**
+ * Spread a drawn line number @p n < 1024 over the whole line-number
+ * range: bits [10, 58) take a fixed pseudo-random pattern of @p n and
+ * the low ten bits, which hold every set-index bit of these tests,
+ * stay as drawn.  Distinct draws stay distinct lines in the same sets,
+ * and a cache state bit that overlapped the line number would corrupt
+ * about half the tags.
+ */
+Addr
+wideLine(Addr n)
+{
+    constexpr Addr kHighBits = ((Addr{1} << 58) - 1) & ~Addr{1023};
+    return n | (mix64(n + 1) & kHighBits);
+}
+
+/**
  * Vector-of-lines LRU cache with the Cache's observable semantics:
  * demand hits and fills refresh recency, prefetch hits do not; a fill
  * takes the lowest invalid way, else the least recent way; with way
@@ -286,7 +302,7 @@ TEST(CacheDifferential, MatchesNaiveLruModel)
         Pcg32 rng(61 + instr_ways, 9);
         for (int i = 0; i < 100000; ++i) {
             MemAccess a;
-            a.paddr = Addr{rng.nextBounded(1024)} << kLineShift;
+            a.paddr = wideLine(rng.nextBounded(1024)) << kLineShift;
             a.pc = rng.next() & ~3u;
             a.isInstr = rng.chance(0.3);
             a.isWrite = !a.isInstr && rng.chance(0.2);
@@ -362,7 +378,7 @@ TEST(CacheDifferential, FrameMshrBooksMatchMapReference)
         std::uint64_t full = 0, not_full = 0;
         for (int step = 0; step < 200000; ++step) {
             now += rng.nextBounded(6);
-            Addr line = rng.nextBounded(96);
+            Addr line = wideLine(rng.nextBounded(96));
             MemAccess a;
             a.paddr = line << kLineShift;
             std::uint32_t op = rng.nextBounded(10);
