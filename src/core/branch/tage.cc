@@ -18,12 +18,31 @@ constexpr std::array<unsigned, TagePredictor::kNumTables>
     TagePredictor::kHistLen;
 
 TagePredictor::TagePredictor()
-    : base(kBaseSize, SatCounter(2, 1)),
+    : base(kBaseSize, kBaseWeakNotTaken),
       btb(makeZeroedArray<BtbEntry>(kBtbSize))
 {
     for (auto &t : tables)
-        t.resize(kTableSize);
+        t = makeZeroedArray<TaggedEntry>(kTableSize);
 }
+
+namespace
+{
+
+void
+saturatingIncrement(std::uint8_t &c, std::uint8_t max)
+{
+    if (c < max)
+        ++c;
+}
+
+void
+saturatingDecrement(std::uint8_t &c)
+{
+    if (c > 0)
+        --c;
+}
+
+} // namespace
 
 std::size_t
 TagePredictor::baseIndex(Addr pc) const
@@ -46,97 +65,99 @@ TagePredictor::foldedHistory(unsigned bits) const
     return folded;
 }
 
-std::size_t
-TagePredictor::taggedIndex(Addr pc, unsigned table) const
+TagePredictor::Lookup
+TagePredictor::lookup(Addr pc) const
 {
-    std::uint64_t h = foldedHistory(kHistLen[table]);
-    return static_cast<std::size_t>(
-               mix64((pc >> 2) ^ (h << 1) ^ table)) & (kTableSize - 1);
-}
-
-std::uint16_t
-TagePredictor::taggedTag(Addr pc, unsigned table) const
-{
-    std::uint64_t h = foldedHistory(kHistLen[table]);
-    return static_cast<std::uint16_t>(
-        (mix64((pc >> 2) * 0x9e3779b1 ^ h ^ (table << 8)) & 0xff) | 0x100);
-}
-
-int
-TagePredictor::findProvider(Addr pc, std::size_t idx[kNumTables],
-                            std::uint16_t tag[kNumTables]) const
-{
+    Lookup l;
     for (unsigned t = 0; t < kNumTables; ++t) {
-        idx[t] = taggedIndex(pc, t);
-        tag[t] = taggedTag(pc, t);
+        std::uint64_t h = foldedHistory(kHistLen[t]);
+        l.idx[t] = static_cast<std::size_t>(
+                       mix64((pc >> 2) ^ (h << 1) ^ t)) & (kTableSize - 1);
+        // Bit 8 is always set, so a real tag is never 0 (invalid).
+        l.tag[t] = static_cast<std::uint16_t>(
+            (mix64((pc >> 2) * 0x9e3779b1 ^ h ^ (t << 8)) & 0xff) | 0x100);
     }
+    l.provider = -1;
     for (int t = kNumTables - 1; t >= 0; --t) {
-        const TaggedEntry &e = tables[t][idx[t]];
-        if (e.valid && e.tag == tag[t])
-            return t;
+        if (tables[t][l.idx[t]].tag == l.tag[t]) {
+            l.provider = t;
+            break;
+        }
     }
-    return -1;
+    return l;
+}
+
+bool
+TagePredictor::predicted(const Lookup &l, Addr pc) const
+{
+    if (l.provider >= 0)
+        return tables[l.provider][l.idx[l.provider]].ctr >
+               kCtrWeakNotTaken;
+    return base[baseIndex(pc)] > kBaseWeakNotTaken;
 }
 
 bool
 TagePredictor::predict(Addr pc)
 {
     ++nLookups;
-    std::size_t idx[kNumTables];
-    std::uint16_t tag[kNumTables];
-    int provider = findProvider(pc, idx, tag);
-    if (provider >= 0)
-        return tables[provider][idx[provider]].ctr.isSet();
-    return base[baseIndex(pc)].isSet();
+    return predicted(lookup(pc), pc);
 }
 
 void
 TagePredictor::update(Addr pc, bool taken)
 {
-    std::size_t idx[kNumTables];
-    std::uint16_t tag[kNumTables];
-    int provider = findProvider(pc, idx, tag);
+    train(lookup(pc), pc, taken);
+}
 
-    bool predicted;
-    if (provider >= 0) {
-        TaggedEntry &e = tables[provider][idx[provider]];
-        predicted = e.ctr.isSet();
-        if (predicted == taken)
-            e.useful.increment();
+bool
+TagePredictor::resolve(Addr pc, bool taken)
+{
+    ++nLookups;
+    return train(lookup(pc), pc, taken);
+}
+
+bool
+TagePredictor::train(const Lookup &l, Addr pc, bool taken)
+{
+    bool prediction = predicted(l, pc);
+    if (l.provider >= 0) {
+        TaggedEntry &e = tables[l.provider][l.idx[l.provider]];
+        if (prediction == taken)
+            saturatingIncrement(e.useful, kUsefulMax);
         else
-            e.useful.decrement();
+            saturatingDecrement(e.useful);
         if (taken)
-            e.ctr.increment();
+            saturatingIncrement(e.ctr, kCtrMax);
         else
-            e.ctr.decrement();
+            saturatingDecrement(e.ctr);
     } else {
-        SatCounter &c = base[baseIndex(pc)];
-        predicted = c.isSet();
+        std::uint8_t &c = base[baseIndex(pc)];
         if (taken)
-            c.increment();
+            saturatingIncrement(c, kBaseMax);
         else
-            c.decrement();
+            saturatingDecrement(c);
     }
 
-    if (predicted == taken) {
+    if (prediction == taken) {
         ++nCorrect;
-    } else if (provider < static_cast<int>(kNumTables) - 1) {
+    } else if (l.provider < static_cast<int>(kNumTables) - 1) {
         // Allocate in a longer-history table with a non-useful entry.
-        for (unsigned t = provider + 1; t < kNumTables; ++t) {
-            TaggedEntry &e = tables[t][idx[t]];
-            if (!e.valid || e.useful.value() == 0) {
-                e.valid = true;
-                e.tag = tag[t];
-                e.ctr = SatCounter(3, taken ? 4 : 3);
-                e.useful = SatCounter(2, 0);
+        for (unsigned t = l.provider + 1; t < kNumTables; ++t) {
+            TaggedEntry &e = tables[t][l.idx[t]];
+            if (e.tag == 0 || e.useful == 0) {
+                e.tag = l.tag[t];
+                e.ctr = static_cast<std::uint8_t>(
+                    taken ? kCtrWeakNotTaken + 1 : kCtrWeakNotTaken);
+                e.useful = 0;
                 ++nAllocs;
                 break;
             }
-            e.useful.decrement();
+            saturatingDecrement(e.useful);
         }
     }
 
     history = (history << 1) | (taken ? 1 : 0);
+    return prediction;
 }
 
 Addr

@@ -4,6 +4,8 @@
  * predictor) plus a last-target BTB for indirect branches standing in
  * for ITTAGE.  Four tagged tables with geometric history lengths back a
  * bimodal base predictor; allocation-on-mispredict with useful bits.
+ * Entries are packed (a 4-byte tagged entry, a 1-byte base counter) so
+ * the eight predictors of an 8-core run stay small in the host cache.
  */
 
 #ifndef GARIBALDI_CORE_BRANCH_TAGE_HH
@@ -13,7 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/sat_counter.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/zeroed_array.hh"
@@ -32,6 +33,12 @@ class TagePredictor
 
     /** Train with the resolved outcome; updates global history. */
     void update(Addr pc, bool taken);
+
+    /**
+     * predict() then update() with one provider lookup: the core's
+     * per-branch call.  @return the prediction made before training.
+     */
+    bool resolve(Addr pc, bool taken);
 
     /** Predict the target of an indirect branch at @p pc. */
     Addr predictIndirect(Addr pc);
@@ -54,25 +61,47 @@ class TagePredictor
                                                                64};
     static constexpr std::size_t kBtbSize = 4096;
 
+    /** 3-bit direction counter: taken when above kCtrWeakNotTaken. */
+    static constexpr std::uint8_t kCtrMax = 7;
+    static constexpr std::uint8_t kCtrWeakNotTaken = 3;
+    /** 2-bit useful counter. */
+    static constexpr std::uint8_t kUsefulMax = 3;
+    /** 2-bit base counter: taken when above kBaseWeakNotTaken. */
+    static constexpr std::uint8_t kBaseMax = 3;
+    static constexpr std::uint8_t kBaseWeakNotTaken = 1;
+
+    /**
+     * One tagged entry.  Every real tag has bit 8 set (lookup()), so
+     * tag 0 marks an invalid entry and all-zero bytes are the initial
+     * table.
+     */
     struct TaggedEntry
     {
-        std::uint16_t tag = 0;
-        SatCounter ctr{3, 3}; //!< 3-bit, weakly not-taken start
-        SatCounter useful{2, 0};
-        bool valid = false;
+        std::uint16_t tag;
+        std::uint8_t ctr;
+        std::uint8_t useful;
+    };
+    static_assert(sizeof(TaggedEntry) == 4, "TaggedEntry must stay packed");
+
+    /** Indices and tags of one branch in every table, and its provider
+     *  (the longest-history hit, or -1 for the base table). */
+    struct Lookup
+    {
+        std::size_t idx[kNumTables];
+        std::uint16_t tag[kNumTables];
+        int provider;
     };
 
     std::size_t baseIndex(Addr pc) const;
-    std::size_t taggedIndex(Addr pc, unsigned table) const;
-    std::uint16_t taggedTag(Addr pc, unsigned table) const;
     std::uint64_t foldedHistory(unsigned bits) const;
+    Lookup lookup(Addr pc) const;
+    bool predicted(const Lookup &l, Addr pc) const;
+    /** update() on an already computed lookup.  @return the
+     *  prediction it trained against. */
+    bool train(const Lookup &l, Addr pc, bool taken);
 
-    /** Provider lookup shared by predict/update. */
-    int findProvider(Addr pc, std::size_t idx[kNumTables],
-                     std::uint16_t tag[kNumTables]) const;
-
-    std::vector<SatCounter> base;
-    std::array<std::vector<TaggedEntry>, kNumTables> tables;
+    std::vector<std::uint8_t> base;
+    std::array<ZeroedArray<TaggedEntry>, kNumTables> tables;
     std::uint64_t history = 0;
 
     struct BtbEntry

@@ -152,9 +152,8 @@ CoreModel::step(const MicroOp &op)
             mispredicted = predicted != op.branchTarget;
             bp.updateIndirect(op.pc, op.branchTarget);
         } else {
-            bool predicted = bp.predict(op.pc);
+            bool predicted = bp.resolve(op.pc, op.branchTaken);
             mispredicted = predicted != op.branchTaken;
-            bp.update(op.pc, op.branchTaken);
         }
         if (mispredicted) {
             ++stat.mispredicts;

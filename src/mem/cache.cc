@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/audit.hh"
+#include "common/host_prefetch.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
@@ -125,8 +126,6 @@ Cache::Cache(const CacheParams &params_, MshrBook book_)
                      ? std::make_unique<FlatLineMap<std::uint8_t>>()
                      : nullptr),
       probeTags(makeZeroedArray<Addr>(std::size_t{nSets} * params_.assoc)),
-      lineState(makeZeroedArray<std::uint8_t>(std::size_t{nSets} *
-                                              params_.assoc)),
       fillReady(book_ != MshrBook::Table
                     ? makeZeroedArray<Cycle>(std::size_t{nSets} *
                                              params_.assoc)
@@ -229,12 +228,13 @@ CacheLine
 Cache::lineAt(std::uint32_t set, std::uint32_t way) const
 {
     std::size_t i = frameIndex(set, way);
+    Addr word = probeTags[i];
     CacheLine l;
-    l.valid = probeTags[i] != 0;
-    l.tag = probeTags[i] & ~kValidTag;
-    l.dirty = lineState[i] & kDirty;
-    l.isInstr = lineState[i] & kInstr;
-    l.prefetched = lineState[i] & kPrefetched;
+    l.valid = word != 0;
+    l.tag = word & kLineMask;
+    l.dirty = word & kDirty;
+    l.isInstr = word & kInstr;
+    l.prefetched = word & kPrefetched;
     return l;
 }
 
@@ -244,7 +244,7 @@ Cache::probeWay(std::uint32_t set, Addr tag) const
     const Addr *base = &probeTags[frameIndex(set, 0)];
     Addr key = tag | kValidTag;
     for (std::uint32_t w = 0; w < params.assoc; ++w) {
-        if (base[w] == key)
+        if ((base[w] & ~kStateBits) == key)
             return w;
     }
     return params.assoc;
@@ -258,7 +258,7 @@ Cache::probeWayAndInvalid(std::uint32_t set, Addr tag,
     Addr key = tag | kValidTag;
     first_invalid = params.assoc;
     for (std::uint32_t w = 0; w < params.assoc; ++w) {
-        if (base[w] == key)
+        if ((base[w] & ~kStateBits) == key)
             return w;
         if (base[w] == 0 && first_invalid == params.assoc)
             first_invalid = w;
@@ -271,6 +271,15 @@ Cache::contains(Addr line_addr) const
 {
     Addr la = lineAlign(line_addr);
     return probeWay(setOf(la), lineNumber(la)) < params.assoc;
+}
+
+void
+Cache::prefetchSet(Addr line_addr) const
+{
+    std::uint32_t set = setOf(line_addr);
+    prefetchHostLines(&probeTags[frameIndex(set, 0)],
+                      params.assoc * sizeof(Addr));
+    repl.prefetchSet(set);
 }
 
 bool
@@ -318,15 +327,16 @@ Cache::access(const MemAccess &acc)
             ++stat.hits;
             if (acc.isInstr)
                 ++stat.instrHits;
-            if (lineState[i] & kPrefetched) {
-                lineState[i] &= ~kPrefetched;
+            Addr &word = probeTags[i];
+            if (word & kPrefetched) {
+                word &= ~kPrefetched;
                 ++stat.prefetchUseful;
             }
+            if (acc.isWrite)
+                word |= kDirty;
             repl.onHit(set, way, acc);
             if (lastUse)
                 lastUse[i] = ++useTick;
-            if (acc.isWrite)
-                lineState[i] |= kDirty;
         }
         return true;
     }
@@ -384,13 +394,12 @@ Cache::pickVictim(std::uint32_t set, const MemAccess &acc,
     // get here, so the promotion has no LRU stamp to refresh.)
     unsigned attempts = 0;
     while (attempts < companion->maxProtectAttempts()) {
-        std::size_t i = frameIndex(set, way);
-        if (probeTags[i] == 0 || !(lineState[i] & kInstr))
+        Addr word = probeTags[frameIndex(set, way)];
+        if (!(word & kInstr))
             break;
         ++stat.qbsQueries;
         qbsCycles += companion->queryCost();
-        if (!companion->shouldProtect((probeTags[i] & ~kValidTag)
-                                      << kLineShift))
+        if (!companion->shouldProtect((word & kLineMask) << kLineShift))
             break;
         ++stat.qbsProtections;
         repl.promote(set, way);
@@ -422,7 +431,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
         // in-flight fill of the line stays booked.
         lastFrame = frameIndex(set, resident_way);
         if (dirty || acc.isWrite)
-            lineState[lastFrame] |= kDirty;
+            probeTags[lastFrame] |= kDirty;
         return {};
     }
 
@@ -437,11 +446,11 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
     std::size_t i = frameIndex(set, way);
 
     Eviction ev;
-    if (probeTags[i] != 0) {
+    if (Addr word = probeTags[i]) {
         ev.valid = true;
-        ev.lineAddr = (probeTags[i] & ~kValidTag) << kLineShift;
-        ev.dirty = lineState[i] & kDirty;
-        ev.isInstr = lineState[i] & kInstr;
+        ev.lineAddr = (word & kLineMask) << kLineShift;
+        ev.dirty = word & kDirty;
+        ev.isInstr = word & kInstr;
         ++stat.evictions;
         if (ev.isInstr)
             ++stat.instrEvictions;
@@ -452,12 +461,11 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
             companion->observeEvict(ev.lineAddr, ev.isInstr);
     }
 
-    probeTags[i] = tag | kValidTag;
-    lineState[i] = static_cast<std::uint8_t>(
-        (dirty || acc.isWrite ? kDirty : 0) | (acc.isInstr ? kInstr : 0) |
-        (acc.isPrefetch ? kPrefetched : 0));
-    if (fillReady)
-        fillReady[i] = 0;
+    // A fresh word has no kInFlight bit, so the frame's stale
+    // fillReady is never read.
+    probeTags[i] = tag | kValidTag | (dirty || acc.isWrite ? kDirty : 0) |
+                   (acc.isInstr ? kInstr : 0) |
+                   (acc.isPrefetch ? kPrefetched : 0);
     lastFrame = i;
     if (lastUse)
         lastUse[i] = ++useTick;
@@ -476,14 +484,14 @@ Cache::setDirty(Addr line_addr)
     std::uint32_t set = setOf(line_addr);
     std::uint32_t w = probeWay(set, lineNumber(line_addr));
     if (w < params.assoc)
-        lineState[frameIndex(set, w)] |= kDirty;
+        probeTags[frameIndex(set, w)] |= kDirty;
 }
 
 std::size_t
 Cache::residentFrame(Addr line_addr) const
 {
     Addr tag = lineNumber(line_addr);
-    if (probeTags[lastFrame] == (tag | kValidTag))
+    if ((probeTags[lastFrame] & ~kStateBits) == (tag | kValidTag))
         return lastFrame;
     std::uint32_t set = setOf(line_addr);
     std::uint32_t way = probeWay(set, tag);
@@ -519,8 +527,10 @@ Cache::addPending(Addr line_addr, Cycle ready, Cycle now)
     std::size_t i = residentFrame(line_addr);
     SIM_ASSERT(i != kNoFrame, params.name, ": MSHR booking for line ",
                key, " which is not resident");
-    if (i != kNoFrame)
+    if (i != kNoFrame) {
         fillReady[i] = ready;
+        probeTags[i] |= kInFlight;
+    }
     if (book != MshrBook::FrameAndList)
         return;
     pruneInFlight(now);
@@ -557,13 +567,11 @@ Cache::pendingReady(Addr line_addr, Cycle now)
         return ready;
     }
     std::size_t i = residentFrame(line_addr);
-    if (i == kNoFrame)
+    if (i == kNoFrame || !(probeTags[i] & kInFlight))
         return 0;
-    Cycle &ready = fillReady[i];
-    if (ready == 0)
-        return 0;
+    Cycle ready = fillReady[i];
     if (ready <= now) {
-        ready = 0;
+        probeTags[i] &= ~kInFlight;
         return 0;
     }
     ++stat.mshrMerges;

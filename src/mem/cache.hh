@@ -7,11 +7,14 @@
  *
  * The replacement policy is held by value: a closed variant over the
  * policy classes (replacement.hh) whose hooks dispatch on its index,
- * with no heap object and no virtual call.  A resident line's fill-ready
- * cycle lives in its frame; a private L1 also keeps a short exact list
- * of its in-flight misses, and only LLC banks under the contention
- * model keep the hashed pending-fill table (flat_tables.hh).  Only an
- * oracle cache builds the oracle's seen-set.
+ * with no heap object and no virtual call.  Each frame's probe word
+ * holds its line number, its state bits and a fill-in-flight bit, so a
+ * hit reads only the probe row the tag scan loaded.  A resident line's
+ * fill-ready cycle lives in a side array read only while that bit is
+ * set; a private L1 also keeps a short exact list of its in-flight
+ * misses, and only LLC banks under the contention model keep the hashed
+ * pending-fill table (flat_tables.hh).  Only an oracle cache builds the
+ * oracle's seen-set.
  */
 
 #ifndef GARIBALDI_MEM_CACHE_HH
@@ -189,6 +192,14 @@ class Cache
     bool contains(Addr line_addr) const;
 
     /**
+     * Ask the host to start loading the rows @p line_addr's set will
+     * touch: its probe row and the policy's per-set state.  Changes no
+     * simulated state.  Issued ahead of a probe, so the host misses of
+     * several levels overlap instead of arriving one after another.
+     */
+    void prefetchSet(Addr line_addr) const;
+
+    /**
      * Insert the line for @p acc, evicting if needed.
      * @param dirty insert in dirty state (writeback allocation)
      * @param critical instruction criticality mark (partition filter)
@@ -286,13 +297,26 @@ class Cache
     /** Validate @p p's geometry (fatal on error); @return its set count. */
     static std::uint32_t checkedSetCount(const CacheParams &p);
 
-    /** Probe-tag bit marking a valid frame: line numbers are < 2^58, so
-     *  a valid frame's probe tag is never 0, which encodes "invalid". */
+    /**
+     * Probe-word layout.  A line number is a 64-bit address shifted
+     * right by kLineShift, so it lies in bits [0, 58) and bits 58..62
+     * can hold the frame's state (62 is unused).  Bit 63 marks a valid frame, so a
+     * valid word is never 0, which encodes "invalid".  A probe compares
+     * the word with the state bits masked off.
+     */
+    static constexpr Addr kLineMask = (Addr{1} << (64 - kLineShift)) - 1;
+    static constexpr Addr kDirty = Addr{1} << 58;
+    static constexpr Addr kInstr = Addr{1} << 59;
+    static constexpr Addr kPrefetched = Addr{1} << 60; //!< not yet demanded
+    /** fillReady holds a booking not yet seen expire (frame books). */
+    static constexpr Addr kInFlight = Addr{1} << 61;
     static constexpr Addr kValidTag = Addr{1} << 63;
-    /** lineState bits; 0 is a clean, data, demand-filled line. */
-    static constexpr std::uint8_t kDirty = 1;
-    static constexpr std::uint8_t kInstr = 2;
-    static constexpr std::uint8_t kPrefetched = 4;
+    static constexpr Addr kStateBits = kDirty | kInstr | kPrefetched |
+                                       kInFlight;
+    static_assert((kStateBits & kLineMask) == 0 &&
+                      (kStateBits & kValidTag) == 0,
+                  "state bits must lie above every line-number bit "
+                  "(64 - kLineShift) and below the valid bit");
 
     Cycle reserveSlot(std::vector<Cycle> &busy_until, Cycle at,
                       Cycle issued, std::uint64_t &queue_cycles);
@@ -342,16 +366,15 @@ class Cache
      *  only when params.instrOracle is set. */
     std::unique_ptr<FlatLineMap<std::uint8_t>> oracleSeen;
     /**
-     * SoA frame metadata, indexed by frameIndex().  probeTags holds the
-     * line number | kValidTag, or 0 for an invalid frame: the per-access
-     * tag scan and the invalid-way scan touch only this row (one or two
-     * host cache lines per set).  lineState holds the dirty / instr /
-     * prefetched bits, one byte per frame, read on hits and evictions.
+     * SoA frame metadata, indexed by frameIndex().  probeTags holds one
+     * word per frame, line number | state bits | kValidTag, or 0 for an
+     * invalid frame.  The tag scan, the invalid-way scan and a hit's
+     * state updates touch only this row (one or two host cache lines
+     * per set).
      */
     ZeroedArray<Addr> probeTags;
-    ZeroedArray<std::uint8_t> lineState;
-    /** Per-frame fill-ready cycle, 0 when no fill is in flight; zeroed
-     *  when a line is allocated into the frame.  Empty for a Table
+    /** Per-frame fill-ready cycle of a frame book, meaningful only
+     *  while the frame's kInFlight bit is set.  Empty for a Table
      *  book. */
     ZeroedArray<Cycle> fillReady;
     /** Per-frame LRU stamps; allocated only with way partitioning, the

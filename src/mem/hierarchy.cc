@@ -114,6 +114,11 @@ MemoryHierarchy::execute(Transaction &txn)
             tracer->onTransaction(txn);
         return;
     }
+    // The L2 and the owning LLC bank are probed next: start their set
+    // rows' host misses now, so they overlap instead of arriving one
+    // level at a time.
+    l2s[txn.cluster]->prefetchSet(txn.lineAddr);
+    llcSet->bankFor(txn.lineAddr).prefetchSet(txn.lineAddr);
 
     if (!txn.req.isPrefetch && l1.mshrsFull(txn.issued))
         ++mshrStalls;

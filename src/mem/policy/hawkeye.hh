@@ -34,6 +34,13 @@ class HawkeyePolicy final : public PolicyBase
     void promote(std::uint32_t set, std::uint32_t way);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
+    void
+    prefetchSet(std::uint32_t set) const
+    {
+        prefetchHostLines(&lines[std::size_t{set} * assoc],
+                          assoc * sizeof(LineState));
+    }
+
     /** Predictor verdict for a PC, exposed for tests. */
     bool isFriendly(Addr pc) const;
 

@@ -24,6 +24,13 @@ class LruPolicy final : public PolicyBase
     void promote(std::uint32_t set, std::uint32_t way);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
+    void
+    prefetchSet(std::uint32_t set) const
+    {
+        prefetchHostLines(&stamps[std::size_t{set} * assoc],
+                          assoc * sizeof(Tick));
+    }
+
   private:
     Tick &stamp(std::uint32_t set, std::uint32_t way)
     {

@@ -65,11 +65,11 @@ MockingjayPolicy::predictedRd(Addr pc) const
     return p == kUnknownRd ? assoc : p;
 }
 
-int
+std::int8_t
 MockingjayPolicy::etrFromRd(std::uint32_t rd) const
 {
     int units = static_cast<int>(rd / granularity);
-    return std::min(units, maxEtr);
+    return static_cast<std::int8_t>(std::min(units, maxEtr));
 }
 
 void
@@ -186,9 +186,7 @@ void
 MockingjayPolicy::onHit(std::uint32_t set, std::uint32_t way,
                         const MemAccess &acc)
 {
-    LineState &ls = line(set, way);
-    ls.prefetched = false;
-    ls.etr = etrFromRd(predictedRd(acc.pc));
+    line(set, way).etr = etrFromRd(predictedRd(acc.pc));
 }
 
 std::uint32_t
@@ -232,11 +230,11 @@ MockingjayPolicy::onInsert(std::uint32_t set, std::uint32_t way,
 {
     LineState &ls = line(set, way);
     ls.valid = true;
-    ls.prefetched = acc.isPrefetch;
     // Prefetch-aware: a prefetched line has not proven reuse, so it is
     // inserted as far-reuse and becomes the preferred victim until a
     // demand hit re-predicts it.
-    ls.etr = acc.isPrefetch ? maxEtr : etrFromRd(predictedRd(acc.pc));
+    ls.etr = acc.isPrefetch ? static_cast<std::int8_t>(maxEtr)
+                            : etrFromRd(predictedRd(acc.pc));
 }
 
 void
@@ -245,7 +243,6 @@ MockingjayPolicy::promote(std::uint32_t set, std::uint32_t way)
     LineState &ls = line(set, way);
     ls.etr = 0; // |ETR| minimal => least likely victim
     ls.promoted = ++promoteTick;
-    ls.prefetched = false;
 }
 
 void

@@ -34,6 +34,18 @@ class MockingjayPolicy final : public PolicyBase
     void promote(std::uint32_t set, std::uint32_t way);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
+    /** Host-prefetch the set's line row, its aging counter and, for a
+     *  sampled set, its sampler slot. */
+    void
+    prefetchSet(std::uint32_t set) const
+    {
+        prefetchHostLines(&lines[std::size_t{set} * assoc],
+                          assoc * sizeof(LineState));
+        __builtin_prefetch(&agingCount[set]);
+        if (isSampled(set))
+            __builtin_prefetch(&samples[set >> sampleShift]);
+    }
+
     /** Predicted reuse distance for a PC (set-access units); for tests. */
     std::uint32_t predictedRd(Addr pc) const;
 
@@ -72,13 +84,14 @@ class MockingjayPolicy final : public PolicyBase
     /** Drop @p ss's tombstones by re-inserting the live entries. */
     void rehashSample(SampledSet &ss) const;
 
+    /** 16 bytes: the ETR fits a byte because counterBits <= 8. */
     struct LineState
     {
-        int etr = 0;          //!< in granularity units, signed
         Tick promoted = 0;    //!< QBS promotion stamp (victim tie-break)
+        std::int8_t etr = 0;  //!< in granularity units, signed
         bool valid = false;
-        bool prefetched = false;
     };
+    static_assert(sizeof(LineState) == 16, "LineState must stay compact");
 
     LineState &line(std::uint32_t set, std::uint32_t way)
     {
@@ -90,7 +103,7 @@ class MockingjayPolicy final : public PolicyBase
         return lines[std::size_t{set} * assoc + way];
     }
 
-    int etrFromRd(std::uint32_t rd) const;
+    std::int8_t etrFromRd(std::uint32_t rd) const;
 
     unsigned sampleShift;
     std::uint32_t historyLen;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/host_prefetch.hh"
 #include "common/types.hh"
 #include "mem/request.hh"
 
@@ -59,7 +60,8 @@ struct PolicyParams
 
 /**
  * Geometry and the hooks most policies leave empty.  A concrete policy
- * defines onHit/victim/onInsert/promote and may hide onAccess/onEvict;
+ * defines onHit/victim/onInsert/promote and may hide onAccess/onEvict
+ * and prefetchSet;
  * the hook contract is documented on ReplacementPolicy.
  */
 class PolicyBase
@@ -67,6 +69,8 @@ class PolicyBase
   public:
     void onAccess(std::uint32_t, const MemAccess &, bool) {}
     void onEvict(std::uint32_t, std::uint32_t) {}
+    /** Host-prefetch the per-set rows the hooks will touch (no-op). */
+    void prefetchSet(std::uint32_t) const {}
 
   protected:
     PolicyBase(std::uint32_t num_sets, std::uint32_t assoc_)

@@ -41,7 +41,9 @@ namespace garibaldi
  *  - onInsert() after the new line is placed,
  *  - promote() to reset a line's eviction priority to the lowest
  *    (the QBS protection action),
- *  - onEvict() when a line leaves the cache.
+ *  - onEvict() when a line leaves the cache,
+ *  - prefetchSet() ahead of a probe of the set: a host-cache hint that
+ *    changes no policy state.
  */
 class ReplacementPolicy
 {
@@ -95,6 +97,12 @@ class ReplacementPolicy
     onEvict(std::uint32_t set, std::uint32_t way)
     {
         std::visit([&](auto &p) { p.onEvict(set, way); }, impl);
+    }
+
+    void
+    prefetchSet(std::uint32_t set) const
+    {
+        std::visit([&](const auto &p) { p.prefetchSet(set); }, impl);
     }
 
     PolicyKind kind() const { return static_cast<PolicyKind>(impl.index()); }

@@ -1,5 +1,8 @@
 #include "sim/system.hh"
 
+#include <map>
+#include <string>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "workloads/catalog.hh"
@@ -32,13 +35,19 @@ System::System(const SystemConfig &config, const Mix &mix)
         }
     }
 
+    // A code layout depends only on its workload's catalog params, so
+    // the streams of one slot name share one image.
+    std::map<std::string, std::shared_ptr<const CodeLayout>> layouts;
     for (CoreId c = 0; c < config.numCores; ++c) {
         WorkloadParams wp = workloadByName(mix.slots[c]);
         std::uint64_t stream_seed =
             mix64(config.seed ^ (std::uint64_t{c} << 32) ^
                   mix64(std::hash<std::string>{}(wp.name)));
+        std::shared_ptr<const CodeLayout> &layout = layouts[mix.slots[c]];
+        if (!layout)
+            layout = SynthWorkload::makeLayout(wp);
         streams.push_back(
-            std::make_unique<SynthWorkload>(wp, stream_seed));
+            std::make_unique<SynthWorkload>(wp, stream_seed, layout));
 
         CoreParams cp = config.core;
         cp.dependentLoadFraction = wp.dependentLoadFraction;

@@ -1,5 +1,7 @@
 #include "workloads/synth_workload.hh"
 
+#include <utility>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 
@@ -21,15 +23,22 @@ layoutRng(const WorkloadParams &p)
 
 } // namespace
 
+std::shared_ptr<const CodeLayout>
+SynthWorkload::makeLayout(const WorkloadParams &params)
+{
+    Pcg32 r = layoutRng(params);
+    return std::make_shared<const CodeLayout>(params, r,
+                                              DataSpace::kHotBase);
+}
+
 SynthWorkload::SynthWorkload(const WorkloadParams &params,
-                             std::uint64_t seed)
+                             std::uint64_t seed,
+                             std::shared_ptr<const CodeLayout> layout)
     : p(params), walkRng(seed, mix64(seed) | 1),
-      code([this] {
-          Pcg32 r = layoutRng(p);
-          return CodeLayout(p, r, DataSpace::kHotBase);
-      }()),
+      code(layout ? std::move(layout) : makeLayout(p)),
       data(p),
-      funcSampler(p.numFunctions, p.functionZipf)
+      funcSampler(p.numFunctions, p.functionZipf),
+      curFunc(&code->function(0))
 {
     enterHandler();
     phase = Phase::Dispatch;
@@ -40,12 +49,12 @@ void
 SynthWorkload::enterHandler()
 {
     if (!walkRng.chance(p.repeatHandlerProb))
-        curFunc = static_cast<std::uint32_t>(
-            funcSampler.sample(walkRng));
+        curFunc = &code->function(static_cast<std::uint32_t>(
+            funcSampler.sample(walkRng)));
     blockOffset = 0;
     instrIdx = 0;
-    loopRemaining = code.block(code.function(curFunc).firstBlock)
-                        .loopIters;
+    curBlock = &code->block(curFunc->firstBlock);
+    loopRemaining = curBlock->loopIters;
 }
 
 MicroOp
@@ -88,14 +97,14 @@ SynthWorkload::next()
         op.isBranch = true;
         op.isIndirect = true;
         op.branchTaken = true;
-        op.branchTarget = code.function(curFunc).entry;
+        op.branchTarget = curFunc->entry;
         phase = Phase::Block;
         dispatchIdx = 0;
         return op;
     }
 
-    const FunctionInfo &fi = code.function(curFunc);
-    const BlockInfo &bi = code.block(fi.firstBlock + blockOffset);
+    const FunctionInfo &fi = *curFunc;
+    const BlockInfo &bi = *curBlock;
 
     Addr pc = bi.pc + instrIdx * CodeLayout::kInstrBytes;
     bool last_instr = instrIdx + 1 >= bi.numInstrs;
@@ -135,11 +144,13 @@ SynthWorkload::next()
         return op;
     }
 
+    // A function's blocks are contiguous in the layout.
+    curBlock += advance;
     op.branchTaken = taken;
-    op.branchTarget = code.block(fi.firstBlock + next_offset).pc;
+    op.branchTarget = curBlock->pc;
     blockOffset = next_offset;
     instrIdx = 0;
-    loopRemaining = code.block(fi.firstBlock + blockOffset).loopIters;
+    loopRemaining = curBlock->loopIters;
     return op;
 }
 

@@ -35,8 +35,16 @@ class SynthWorkload
      * @param params workload description
      * @param seed instance seed; distinct (workload, core) instances
      *        produce distinct but statistically identical streams
+     * @param layout the code image of @p params, as makeLayout() builds
+     *        it; streams of one workload may share it.  Null builds a
+     *        private one.
      */
-    SynthWorkload(const WorkloadParams &params, std::uint64_t seed);
+    SynthWorkload(const WorkloadParams &params, std::uint64_t seed,
+                  std::shared_ptr<const CodeLayout> layout = nullptr);
+
+    /** The code image of @p params, a function of the params alone. */
+    static std::shared_ptr<const CodeLayout>
+    makeLayout(const WorkloadParams &params);
 
     /** Produce the next retired instruction. */
     MicroOp next();
@@ -56,7 +64,7 @@ class SynthWorkload
     const char *name() const { return p.name.c_str(); }
 
     const WorkloadParams &params() const { return p; }
-    const CodeLayout &layout() const { return code; }
+    const CodeLayout &layout() const { return *code; }
 
   private:
     enum class Phase : std::uint8_t { Dispatch, Block };
@@ -67,13 +75,16 @@ class SynthWorkload
 
     WorkloadParams p;
     Pcg32 walkRng;
-    CodeLayout code;
+    std::shared_ptr<const CodeLayout> code;
     DataSpace data;
     ZipfSampler funcSampler;
 
     Phase phase = Phase::Dispatch;
     unsigned dispatchIdx = 0;
-    std::uint32_t curFunc = 0;
+    /** The walk's position, kept as pointers into the shared layout so
+     *  an op does not re-index the function and block arrays. */
+    const FunctionInfo *curFunc = nullptr;
+    const BlockInfo *curBlock = nullptr;
     std::uint32_t blockOffset = 0; //!< block index within the function
     unsigned instrIdx = 0;
     unsigned loopRemaining = 0;

@@ -186,10 +186,13 @@ fnv1a(std::uint64_t h, std::uint64_t v)
  * taken, alternating, period-5 loop, coin flip), so the base table,
  * every tagged table, allocation and the useful counters all take
  * part; indirect branches come from 64 PCs with one to four targets.
+ * @p one_call resolves each conditional branch with resolve(), the
+ * core's call, instead of predict() then update().
  */
 std::uint64_t
-tageTraceHash(TagePredictor &bp)
+tageTraceHash(bool one_call)
 {
+    TagePredictor bp;
     Pcg32 rng(2024, 17);
     std::vector<std::uint32_t> visits(512, 0);
     std::uint64_t h = 14695981039346656037ull;
@@ -214,8 +217,14 @@ tageTraceHash(TagePredictor &bp)
           case 3: taken = n % 5 != 4; break;
           default: taken = rng.chance(0.5); break;
         }
-        h = fnv1a(h, bp.predict(pc) ? 1 : 0);
-        bp.update(pc, taken);
+        bool predicted;
+        if (one_call) {
+            predicted = bp.resolve(pc, taken);
+        } else {
+            predicted = bp.predict(pc);
+            bp.update(pc, taken);
+        }
+        h = fnv1a(h, predicted ? 1 : 0);
     }
     StatSet s = bp.stats();
     for (const char *name : {"lookups", "correct", "allocations",
@@ -229,8 +238,8 @@ tageTraceHash(TagePredictor &bp)
 // entries and SatCounter tables, before they were packed.
 TEST(Tage, DecisionTraceHashPinned)
 {
-    TagePredictor bp;
-    EXPECT_EQ(tageTraceHash(bp), 13972142726612516992ull);
+    EXPECT_EQ(tageTraceHash(false), 13972142726612516992ull);
+    EXPECT_EQ(tageTraceHash(true), 13972142726612516992ull);
 }
 
 // --------------------------------------------------------------------
