@@ -133,18 +133,17 @@ BM_HelperTableTranslate(benchmark::State &state)
 BENCHMARK(BM_HelperTableTranslate);
 
 void
-BM_TagePredictUpdate(benchmark::State &state)
+BM_TageResolve(benchmark::State &state)
 {
     TagePredictor bp;
     Pcg32 rng(5, 5);
     for (auto _ : state) {
         Addr pc = 0x4000 + (rng.next() & 0xfff);
         bool taken = rng.chance(0.7);
-        benchmark::DoNotOptimize(bp.predict(pc));
-        bp.update(pc, taken);
+        benchmark::DoNotOptimize(bp.resolve(pc, taken));
     }
 }
-BENCHMARK(BM_TagePredictUpdate);
+BENCHMARK(BM_TageResolve);
 
 void
 BM_SimulatorStepRate(benchmark::State &state)

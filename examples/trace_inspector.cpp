@@ -32,7 +32,8 @@ main(int argc, char **argv)
 
     WorkloadParams params = workloadByName(args.getString("workload"));
     SynthWorkload w(params,
-                    static_cast<std::uint64_t>(args.getInt("seed")));
+                    static_cast<std::uint64_t>(args.getInt("seed")),
+                    SynthWorkload::makeLayout(params));
 
     std::printf("workload: %s (%s)\n", params.name.c_str(),
                 params.isServer ? "server" : "spec");

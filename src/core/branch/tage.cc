@@ -97,19 +97,6 @@ TagePredictor::predicted(const Lookup &l, Addr pc) const
 }
 
 bool
-TagePredictor::predict(Addr pc)
-{
-    ++nLookups;
-    return predicted(lookup(pc), pc);
-}
-
-void
-TagePredictor::update(Addr pc, bool taken)
-{
-    train(lookup(pc), pc, taken);
-}
-
-bool
 TagePredictor::resolve(Addr pc, bool taken)
 {
     ++nLookups;

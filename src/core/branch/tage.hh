@@ -28,15 +28,11 @@ class TagePredictor
   public:
     TagePredictor();
 
-    /** Predict the direction of the conditional branch at @p pc. */
-    bool predict(Addr pc);
-
-    /** Train with the resolved outcome; updates global history. */
-    void update(Addr pc, bool taken);
-
     /**
-     * predict() then update() with one provider lookup: the core's
-     * per-branch call.  @return the prediction made before training.
+     * Predict the direction of the conditional branch at @p pc, then
+     * train with the resolved outcome @p taken and update the global
+     * history, from one provider lookup.
+     * @return the prediction made before training.
      */
     bool resolve(Addr pc, bool taken);
 
@@ -96,8 +92,8 @@ class TagePredictor
     std::uint64_t foldedHistory(unsigned bits) const;
     Lookup lookup(Addr pc) const;
     bool predicted(const Lookup &l, Addr pc) const;
-    /** update() on an already computed lookup.  @return the
-     *  prediction it trained against. */
+    /** Train on an already computed lookup.  @return the prediction
+     *  it trained against. */
     bool train(const Lookup &l, Addr pc, bool taken);
 
     std::vector<std::uint8_t> base;

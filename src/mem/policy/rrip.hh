@@ -31,13 +31,6 @@ class SrripPolicy : public PolicyBase
     void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
     void promote(std::uint32_t set, std::uint32_t way);
 
-    void
-    prefetchSet(std::uint32_t set) const
-    {
-        prefetchHostLines(&rrpv[std::size_t{set} * assoc],
-                          assoc * sizeof(unsigned));
-    }
-
     /** RRPV of (set, way); exposed for tests. */
     unsigned
     rrpvOf(std::uint32_t set, std::uint32_t way) const

@@ -28,14 +28,6 @@ class ShipPolicy final : public SrripPolicy
     void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
-    void
-    prefetchSet(std::uint32_t set) const
-    {
-        SrripPolicy::prefetchSet(set);
-        prefetchHostLines(&lineState[std::size_t{set} * assoc],
-                          assoc * sizeof(LineState));
-    }
-
     /** SHCT counter value for a PC, exposed for tests. */
     unsigned shctOf(Addr pc) const { return shct[signature(pc)].value(); }
 

@@ -35,7 +35,7 @@ SynthWorkload::SynthWorkload(const WorkloadParams &params,
                              std::uint64_t seed,
                              std::shared_ptr<const CodeLayout> layout)
     : p(params), walkRng(seed, mix64(seed) | 1),
-      code(layout ? std::move(layout) : makeLayout(p)),
+      code(std::move(layout)),
       data(p),
       funcSampler(p.numFunctions, p.functionZipf),
       curFunc(&code->function(0))

@@ -36,11 +36,10 @@ class SynthWorkload
      * @param seed instance seed; distinct (workload, core) instances
      *        produce distinct but statistically identical streams
      * @param layout the code image of @p params, as makeLayout() builds
-     *        it; streams of one workload may share it.  Null builds a
-     *        private one.
+     *        it; streams of one workload may share it
      */
     SynthWorkload(const WorkloadParams &params, std::uint64_t seed,
-                  std::shared_ptr<const CodeLayout> layout = nullptr);
+                  std::shared_ptr<const CodeLayout> layout);
 
     /** The code image of @p params, a function of the params alone. */
     static std::shared_ptr<const CodeLayout>

@@ -122,12 +122,10 @@ TEST(Tage, LearnsStronglyBiasedBranch)
     TagePredictor bp;
     Addr pc = 0x4000;
     for (int i = 0; i < 64; ++i)
-        bp.update(pc, true);
+        bp.resolve(pc, true);
     int correct = 0;
-    for (int i = 0; i < 100; ++i) {
-        correct += bp.predict(pc) == true;
-        bp.update(pc, true);
-    }
+    for (int i = 0; i < 100; ++i)
+        correct += bp.resolve(pc, true) == true;
     EXPECT_GT(correct, 95);
 }
 
@@ -138,13 +136,12 @@ TEST(Tage, LearnsAlternatingPattern)
     bool dir = false;
     // Alternation is history-predictable: tagged tables must catch it.
     for (int i = 0; i < 2000; ++i) {
-        bp.update(pc, dir);
+        bp.resolve(pc, dir);
         dir = !dir;
     }
     int correct = 0;
     for (int i = 0; i < 200; ++i) {
-        correct += bp.predict(pc) == dir;
-        bp.update(pc, dir);
+        correct += bp.resolve(pc, dir) == dir;
         dir = !dir;
     }
     EXPECT_GT(correct, 150);
@@ -162,10 +159,8 @@ TEST(Tage, IndirectTargetsLearned)
 TEST(Tage, StatsAccumulate)
 {
     TagePredictor bp;
-    for (int i = 0; i < 10; ++i) {
-        bp.predict(0x100);
-        bp.update(0x100, true);
-    }
+    for (int i = 0; i < 10; ++i)
+        bp.resolve(0x100, true);
     EXPECT_EQ(bp.stats().get("lookups"), 10.0);
 }
 
@@ -186,11 +181,9 @@ fnv1a(std::uint64_t h, std::uint64_t v)
  * taken, alternating, period-5 loop, coin flip), so the base table,
  * every tagged table, allocation and the useful counters all take
  * part; indirect branches come from 64 PCs with one to four targets.
- * @p one_call resolves each conditional branch with resolve(), the
- * core's call, instead of predict() then update().
  */
 std::uint64_t
-tageTraceHash(bool one_call)
+tageTraceHash()
 {
     TagePredictor bp;
     Pcg32 rng(2024, 17);
@@ -217,14 +210,7 @@ tageTraceHash(bool one_call)
           case 3: taken = n % 5 != 4; break;
           default: taken = rng.chance(0.5); break;
         }
-        bool predicted;
-        if (one_call) {
-            predicted = bp.resolve(pc, taken);
-        } else {
-            predicted = bp.predict(pc);
-            bp.update(pc, taken);
-        }
-        h = fnv1a(h, predicted ? 1 : 0);
+        h = fnv1a(h, bp.resolve(pc, taken) ? 1 : 0);
     }
     StatSet s = bp.stats();
     for (const char *name : {"lookups", "correct", "allocations",
@@ -235,11 +221,11 @@ tageTraceHash(bool one_call)
 
 // Pins every decision of the predictor, not just what it learns: the
 // constant was recorded from the implementation with 24-byte tagged
-// entries and SatCounter tables, before they were packed.
+// entries and SatCounter tables, before they were packed, which made
+// each prediction and its training two separate lookups.
 TEST(Tage, DecisionTraceHashPinned)
 {
-    EXPECT_EQ(tageTraceHash(false), 13972142726612516992ull);
-    EXPECT_EQ(tageTraceHash(true), 13972142726612516992ull);
+    EXPECT_EQ(tageTraceHash(), 13972142726612516992ull);
 }
 
 // --------------------------------------------------------------------

@@ -162,7 +162,8 @@ TEST(DataSpace, HotSamplingIsSkewed)
 TEST(SynthWorkload, DeterministicStreams)
 {
     WorkloadParams p = workloadByName("tpcc");
-    SynthWorkload a(p, 42), b(p, 42);
+    SynthWorkload a(p, 42, SynthWorkload::makeLayout(p)),
+        b(p, 42, SynthWorkload::makeLayout(p));
     for (int i = 0; i < 5000; ++i) {
         MicroOp oa = a.next(), ob = b.next();
         EXPECT_EQ(oa.pc, ob.pc);
@@ -175,7 +176,8 @@ TEST(SynthWorkload, DeterministicStreams)
 TEST(SynthWorkload, SeedsChangeWalkNotLayout)
 {
     WorkloadParams p = workloadByName("tpcc");
-    SynthWorkload a(p, 1), b(p, 2);
+    SynthWorkload a(p, 1, SynthWorkload::makeLayout(p)),
+        b(p, 2, SynthWorkload::makeLayout(p));
     // Same static image...
     EXPECT_EQ(a.layout().codeBytes(), b.layout().codeBytes());
     // ...different dynamic path.
@@ -188,7 +190,7 @@ TEST(SynthWorkload, SeedsChangeWalkNotLayout)
 TEST(SynthWorkload, DispatchesThroughIndirectCalls)
 {
     WorkloadParams p = workloadByName("noop");
-    SynthWorkload w(p, 7);
+    SynthWorkload w(p, 7, SynthWorkload::makeLayout(p));
     int indirect = 0;
     for (int i = 0; i < 20000; ++i) {
         MicroOp op = w.next();
@@ -206,7 +208,7 @@ TEST(SynthWorkload, DispatchesThroughIndirectCalls)
 TEST(SynthWorkload, MemoryOpsCarryAddresses)
 {
     WorkloadParams p = workloadByName("tpcc");
-    SynthWorkload w(p, 7);
+    SynthWorkload w(p, 7, SynthWorkload::makeLayout(p));
     int mem_ops = 0;
     for (int i = 0; i < 10000; ++i) {
         MicroOp op = w.next();
@@ -226,7 +228,7 @@ TEST(SynthWorkload, ManyToFewVsFewToMany)
     // instruction lines and few hot data lines; SPEC the reverse.
     auto profile = [](const char *name) {
         WorkloadParams p = workloadByName(name);
-        SynthWorkload w(p, 11);
+        SynthWorkload w(p, 11, SynthWorkload::makeLayout(p));
         std::set<Addr> ilines;
         std::set<Addr> dlines;
         for (int i = 0; i < 60000; ++i) {
@@ -247,7 +249,7 @@ TEST(SynthWorkload, ManyToFewVsFewToMany)
 TEST(SynthWorkload, BranchesMostlyPredictableBias)
 {
     WorkloadParams p = workloadByName("tpcc");
-    SynthWorkload w(p, 13);
+    SynthWorkload w(p, 13, SynthWorkload::makeLayout(p));
     std::uint64_t branches = 0, taken = 0;
     for (int i = 0; i < 50000; ++i) {
         MicroOp op = w.next();
@@ -317,8 +319,8 @@ TEST(WorkloadParams, FootprintScaling)
 TEST(Batch, StreamFillMatchesPerOpNext)
 {
     WorkloadParams params = workloadByName("tpcc");
-    SynthWorkload a(params, /*seed=*/7);
-    SynthWorkload b(params, /*seed=*/7);
+    SynthWorkload a(params, /*seed=*/7, SynthWorkload::makeLayout(params));
+    SynthWorkload b(params, /*seed=*/7, SynthWorkload::makeLayout(params));
 
     std::vector<MicroOp> filled(1000);
     // Ragged chunks: fill() must be exactly n next() calls.
