@@ -163,7 +163,9 @@ echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 # solo-IPC pre-warm its random mixes trigger) against the same bytes.
 # fig03 runs the I-oracle, whose LLC instruction hits have no frame.
 # fig14d runs the way-partitioned LLC, the one victim path that reads
-# the cache's own LRU stamps (pickPartitionVictim).
+# the cache's own LRU stamps (pickPartitionVictim).  fig12 runs DRRIP,
+# Hawkeye and Mockingjay; fig17 runs 6- to 48-way LRU and Mockingjay
+# LLCs.
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
@@ -177,7 +179,11 @@ echo "== obs: knobs-off byte-identity vs goldens =="
     > "$build/golden_fig03.txt"
 "$build/fig14_sensitivity" --part d --warmup 20000 --instr 50000 \
     > "$build/golden_fig14d.txt"
-for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d; do
+"$build/fig12_per_workload" --warmup 20000 --instr 50000 \
+    > "$build/golden_fig12.txt"
+"$build/fig17_associativity" --warmup 20000 --instr 50000 \
+    > "$build/golden_fig17.txt"
+for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d fig12 fig17; do
   g="${out%_j8}"
   if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" \
       > /dev/null; then
@@ -186,7 +192,7 @@ for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d; do
     exit 1
   fi
 done
-echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03/fig14d: byte-identical to goldens with obs off"
+echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03/fig14d/fig12/fig17: byte-identical to goldens with obs off"
 
 # Audit mode is a pure checker: enabling --audit must not perturb a
 # single output byte on a healthy run.

@@ -1,5 +1,6 @@
 #include "core/branch/tage.hh"
 
+#include "common/audit.hh"
 #include "common/intmath.hh"
 #include "common/stat_kind.hh"
 
@@ -154,22 +155,22 @@ TagePredictor::predictIndirect(Addr pc)
     const BtbEntry &e =
         btb[static_cast<std::size_t>(mix64(pc ^ (history & 0xf))) &
             (kBtbSize - 1)];
-    if (e.valid && e.pc == pc)
-        return e.target;
-    return 0;
+    // An empty entry's target is 0, the "no prediction" answer.
+    return e.pc == pc ? e.target : 0;
 }
 
 void
 TagePredictor::updateIndirect(Addr pc, Addr target)
 {
+    SIM_ASSERT(pc != 0, "tage: indirect branch at pc 0 would read as an "
+               "empty BTB entry");
     BtbEntry &e =
         btb[static_cast<std::size_t>(mix64(pc ^ (history & 0xf))) &
             (kBtbSize - 1)];
-    if (e.valid && e.pc == pc && e.target == target)
+    if (e.pc == pc && e.target == target)
         ++nIndirectCorrect;
     e.pc = pc;
     e.target = target;
-    e.valid = true;
     history = (history << 1) | 1;
 }
 

@@ -100,13 +100,14 @@ class TagePredictor
     std::array<ZeroedArray<TaggedEntry>, kNumTables> tables;
     std::uint64_t history = 0;
 
+    /** pc 0 marks an empty entry (updateIndirect never writes it). */
     struct BtbEntry
     {
         Addr pc = 0;
         Addr target = 0;
-        bool valid = false;
     };
-    ZeroedArray<BtbEntry> btb; //!< all-zero = invalid
+    static_assert(sizeof(BtbEntry) == 16, "BtbEntry must stay compact");
+    ZeroedArray<BtbEntry> btb; //!< all-zero = empty
 
     std::uint64_t nLookups = 0;
     std::uint64_t nCorrect = 0;

@@ -131,8 +131,8 @@ Cache::Cache(const CacheParams &params_, MshrBook book_)
                                              params_.assoc)
                     : ZeroedArray<Cycle>()),
       lastUse(params_.instrPartitionWays > 0
-                  ? makeZeroedArray<Tick>(std::size_t{nSets} * params_.assoc)
-                  : ZeroedArray<Tick>()),
+                  ? RecencyStamps(nSets, params_.assoc)
+                  : RecencyStamps()),
       repl(makePolicy(params_.policy, nSets, params_.assoc,
                       params_.policyParams))
 {
@@ -336,7 +336,7 @@ Cache::access(const MemAccess &acc)
                 word |= kDirty;
             repl.onHit(set, way, acc);
             if (lastUse)
-                lastUse[i] = ++useTick;
+                lastUse.touch(set, way);
         }
         return true;
     }
@@ -358,18 +358,10 @@ Cache::pickPartitionVictim(std::uint32_t set, bool instr_class)
     std::uint32_t lo = instr_class ? 0 : params.instrPartitionWays;
     std::uint32_t hi = instr_class ? params.instrPartitionWays
                                    : params.assoc;
-    std::uint32_t best = lo;
-    Tick best_tick = ~Tick{0};
-    for (std::uint32_t w = lo; w < hi; ++w) {
-        std::size_t i = frameIndex(set, w);
-        if (probeTags[i] == 0)
+    for (std::uint32_t w = lo; w < hi; ++w)
+        if (probeTags[frameIndex(set, w)] == 0)
             return w;
-        if (lastUse[i] < best_tick) {
-            best_tick = lastUse[i];
-            best = w;
-        }
-    }
-    return best;
+    return lastUse.oldest(set, lo, hi);
 }
 
 std::uint32_t
@@ -468,7 +460,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
                    (acc.isPrefetch ? kPrefetched : 0);
     lastFrame = i;
     if (lastUse)
-        lastUse[i] = ++useTick;
+        lastUse.touch(set, way);
     repl.onInsert(set, way, acc);
     if (acc.isPrefetch)
         ++stat.prefetchInserts;

@@ -29,6 +29,7 @@
 #include "common/zeroed_array.hh"
 #include "mem/flat_tables.hh"
 #include "mem/llc_companion.hh"
+#include "mem/policy/recency_stamps.hh"
 #include "mem/policy/replacement.hh"
 #include "mem/request.hh"
 
@@ -377,14 +378,13 @@ class Cache
      *  while the frame's kInFlight bit is set.  Empty for a Table
      *  book. */
     ZeroedArray<Cycle> fillReady;
-    /** Per-frame LRU stamps; allocated only with way partitioning, the
-     *  one victim path that reads them. */
-    ZeroedArray<Tick> lastUse;
+    /** Per-frame LRU order; allocated only with way partitioning, the
+     *  one victim path that reads it. */
+    RecencyStamps lastUse;
     ReplacementPolicy repl;
     CacheStats stat;
     LlcCompanion *companion = nullptr;
     Cycle qbsCycles = 0;
-    Tick useTick = 0;
     /** Frame of the last hit or insert (residentFrame()'s first try). */
     std::size_t lastFrame = 0;
     /** MshrBook::FrameAndList: the misses not yet seen complete, one

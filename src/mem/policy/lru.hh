@@ -6,13 +6,13 @@
 #ifndef GARIBALDI_MEM_POLICY_LRU_HH
 #define GARIBALDI_MEM_POLICY_LRU_HH
 
-#include "common/zeroed_array.hh"
 #include "mem/policy/policy_base.hh"
+#include "mem/policy/recency_stamps.hh"
 
 namespace garibaldi
 {
 
-/** Exact LRU via monotonic per-cache ticks. */
+/** Exact LRU via per-set recency stamps. */
 class LruPolicy final : public PolicyBase
 {
   public:
@@ -24,21 +24,10 @@ class LruPolicy final : public PolicyBase
     void promote(std::uint32_t set, std::uint32_t way);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
-    void
-    prefetchSet(std::uint32_t set) const
-    {
-        prefetchHostLines(&stamps[std::size_t{set} * assoc],
-                          assoc * sizeof(Tick));
-    }
+    void prefetchSet(std::uint32_t set) const { stamps.prefetch(set); }
 
   private:
-    Tick &stamp(std::uint32_t set, std::uint32_t way)
-    {
-        return stamps[std::size_t{set} * assoc + way];
-    }
-
-    ZeroedArray<Tick> stamps; //!< 0 = never touched (or evicted)
-    Tick tick = 0;
+    RecencyStamps stamps; //!< 0 = never touched (or evicted)
 };
 
 } // namespace garibaldi

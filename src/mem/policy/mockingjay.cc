@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <new>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -20,14 +21,22 @@ MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
       granularity(std::max<std::uint32_t>(
           1, historyLen / static_cast<std::uint32_t>(maxEtr))),
       rdp(kRdpSize, kUnknownRd),
-      samples(num_sets >= (1u << params.sampleShift)
-                  ? num_sets >> params.sampleShift : 1),
-      sampleCap(flat::tableCapacity(historyLen + 1)),
+      numSampled(num_sets >= (1u << sampleShift)
+                     ? num_sets >> sampleShift : 1),
+      samples(makeZeroedArray<SampledSet>(numSampled)),
       lines(makeZeroedArray<LineState>(std::size_t{num_sets} * assoc_)),
+      promoted(num_sets, assoc_),
       agingCount(num_sets, 0)
 {
     if (params.counterBits < 2 || params.counterBits > 8)
         panic("Mockingjay ETR bits out of range: ", params.counterBits);
+}
+
+MockingjayPolicy::~MockingjayPolicy()
+{
+    if (samples)
+        for (std::size_t i = 0; i < numSampled; ++i)
+            std::free(samples[i].slots);
 }
 
 std::size_t
@@ -89,96 +98,52 @@ MockingjayPolicy::onAccess(std::uint32_t set, const MemAccess &acc, bool)
     if (!isSampled(set) || acc.isPrefetch)
         return;
 
+    // Sampled cache: a hit trains the previous accessor's PC with the
+    // observed reuse distance; a miss appends the line, evicting the
+    // stalest entry once the set holds more than historyLen.
     SampledSet &ss = samples[set >> sampleShift];
-    if (ss.keys.empty()) {
-        // First touch of this sampled set: allocate its table.
-        ss.keys.assign(sampleCap, flat::kEmptyKey);
-        ss.pcSigs.assign(sampleCap, 0);
-        ss.stamps.assign(sampleCap, 0);
+    std::size_t cap = std::size_t{historyLen} + 1;
+    if (!ss.slots) {
+        ss.slots = static_cast<std::uint64_t *>(
+            std::malloc(cap * (2 * sizeof(std::uint64_t) +
+                               sizeof(std::uint16_t))));
+        if (!ss.slots)
+            throw std::bad_alloc();
     }
     ++ss.tick;
+    Addr *keys = ss.slots;
+    std::uint64_t *stamps = ss.slots + cap;
+    auto *sigs = reinterpret_cast<std::uint16_t *>(ss.slots + 2 * cap);
     Addr key = lineNumber(acc.lineAddr());
-    std::size_t mask = sampleCap - 1;
-    std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-    std::size_t slot = sampleCap;     // match, if any
-    std::size_t free_slot = sampleCap; // insertion point otherwise
-    while (true) {
-        if (ss.keys[i] == key) {
-            slot = i;
-            break;
-        }
-        if (ss.keys[i] == flat::kEmptyKey) {
-            if (free_slot == sampleCap)
-                free_slot = i;
-            break;
-        }
-        if (ss.keys[i] == flat::kTombKey && free_slot == sampleCap)
-            free_slot = i;
-        i = (i + 1) & mask;
-    }
+    auto sig = static_cast<std::uint16_t>(pcIndex(acc.pc));
+    auto slot = static_cast<std::uint32_t>(
+        std::find(keys, keys + ss.filled, key) - keys);
 
-    if (slot != sampleCap) {
-        std::uint64_t dist = ss.tick - ss.stamps[slot];
-        train(ss.pcSigs[slot],
+    if (slot < ss.filled) {
+        std::uint64_t dist = ss.tick - stamps[slot];
+        train(sigs[slot],
               static_cast<std::uint32_t>(std::min<std::uint64_t>(
                   dist, 2 * historyLen)));
-        ss.pcSigs[slot] = static_cast<std::uint32_t>(pcIndex(acc.pc));
-        ss.stamps[slot] = ss.tick;
+        sigs[slot] = sig;
+        stamps[slot] = ss.tick;
         return;
     }
 
-    if (ss.keys[free_slot] == flat::kTombKey)
-        --ss.tombs;
-    ss.keys[free_slot] = key;
-    ss.pcSigs[free_slot] = static_cast<std::uint32_t>(pcIndex(acc.pc));
-    ss.stamps[free_slot] = ss.tick;
-    ++ss.filled;
-    if (ss.filled > historyLen) {
+    keys[slot] = key;
+    sigs[slot] = sig;
+    stamps[slot] = ss.tick;
+    if (++ss.filled > historyLen) {
         // Evict the stalest sample; it left the window unreused, so
         // its PC is trained toward scan-like (far) behavior.  The
         // newest stamp belongs to the entry just written, so the
-        // minimum is always an older one (stamps are unique per set).
-        std::size_t oldest = sampleCap;
-        std::uint64_t oldest_stamp = ~std::uint64_t{0};
-        for (std::size_t s = 0; s < sampleCap; ++s) {
-            if (ss.keys[s] < flat::kTombKey &&
-                ss.stamps[s] < oldest_stamp) {
-                oldest_stamp = ss.stamps[s];
-                oldest = s;
-            }
-        }
-        train(ss.pcSigs[oldest], 2 * historyLen);
-        ss.keys[oldest] = flat::kTombKey;
-        --ss.filled;
-        ++ss.tombs;
-    }
-    if ((ss.filled + ss.tombs + 1) * 4 >= sampleCap * 3)
-        rehashSample(ss);
-}
-
-void
-MockingjayPolicy::rehashSample(SampledSet &ss) const
-{
-    std::vector<Addr> old_keys(sampleCap, flat::kEmptyKey);
-    std::vector<std::uint32_t> old_sigs(sampleCap, 0);
-    std::vector<std::uint64_t> old_stamps(sampleCap, 0);
-    old_keys.swap(ss.keys);
-    old_sigs.swap(ss.pcSigs);
-    old_stamps.swap(ss.stamps);
-    ss.filled = 0;
-    ss.tombs = 0;
-    std::size_t mask = sampleCap - 1;
-    for (std::size_t s = 0; s < sampleCap; ++s) {
-        if (old_keys[s] >= flat::kTombKey)
-            continue;
-        std::size_t j =
-            static_cast<std::size_t>(mix64(old_keys[s])) & mask;
-        while (ss.keys[j] != flat::kEmptyKey)
-            j = (j + 1) & mask;
-        ss.keys[j] = old_keys[s];
-        ss.pcSigs[j] = old_sigs[s];
-        ss.stamps[j] = old_stamps[s];
-        ++ss.filled;
+        // minimum is always an older one.
+        auto oldest = static_cast<std::uint32_t>(
+            std::min_element(stamps, stamps + ss.filled) - stamps);
+        train(sigs[oldest], 2 * historyLen);
+        std::uint32_t last = --ss.filled;
+        keys[oldest] = keys[last];
+        sigs[oldest] = sigs[last];
+        stamps[oldest] = stamps[last];
     }
 }
 
@@ -198,11 +163,12 @@ MockingjayPolicy::victim(std::uint32_t set, const MemAccess &)
     std::uint32_t best = 0;
     int best_abs = -1;
     bool best_overdue = false;
-    Tick best_promoted = ~Tick{0};
+    unsigned best_promoted = ~0u;
     for (std::uint32_t w = 0; w < assoc; ++w) {
         const LineState &ls = line(set, w);
         int a = std::abs(ls.etr);
         bool overdue = ls.etr < 0;
+        unsigned stamp = promoted.stamp(set, w);
         bool better = a > best_abs;
         if (a == best_abs) {
             // Ties: prefer overdue lines, then lines that were not
@@ -211,13 +177,13 @@ MockingjayPolicy::victim(std::uint32_t set, const MemAccess &)
             if (overdue && !best_overdue)
                 better = true;
             else if (overdue == best_overdue &&
-                     ls.promoted < best_promoted)
+                     stamp < best_promoted)
                 better = true;
         }
         if (better) {
             best_abs = a;
             best_overdue = overdue;
-            best_promoted = ls.promoted;
+            best_promoted = stamp;
             best = w;
         }
     }
@@ -242,13 +208,14 @@ MockingjayPolicy::promote(std::uint32_t set, std::uint32_t way)
 {
     LineState &ls = line(set, way);
     ls.etr = 0; // |ETR| minimal => least likely victim
-    ls.promoted = ++promoteTick;
+    promoted.touch(set, way);
 }
 
 void
 MockingjayPolicy::onEvict(std::uint32_t set, std::uint32_t way)
 {
     line(set, way) = LineState{};
+    promoted.clear(set, way);
 }
 
 int

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "common/zeroed_array.hh"
-#include "mem/flat_tables.hh"
 #include "mem/policy/policy_base.hh"
+#include "mem/policy/recency_stamps.hh"
 
 namespace garibaldi
 {
@@ -26,6 +26,10 @@ class MockingjayPolicy final : public PolicyBase
   public:
     MockingjayPolicy(std::uint32_t num_sets, std::uint32_t assoc,
                      const PolicyParams &params);
+    /** Moving leaves the source without sampled rows to free. */
+    MockingjayPolicy(MockingjayPolicy &&) = default;
+    MockingjayPolicy &operator=(MockingjayPolicy &&) = delete;
+    ~MockingjayPolicy(); //!< frees the sampled rows
 
     void onAccess(std::uint32_t set, const MemAccess &acc, bool hit);
     void onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
@@ -34,13 +38,14 @@ class MockingjayPolicy final : public PolicyBase
     void promote(std::uint32_t set, std::uint32_t way);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
-    /** Host-prefetch the set's line row, its aging counter and, for a
-     *  sampled set, its sampler slot. */
+    /** Host-prefetch the set's line row, promotion row and aging
+     *  counter and, for a sampled set, its sampler header. */
     void
     prefetchSet(std::uint32_t set) const
     {
         prefetchHostLines(&lines[std::size_t{set} * assoc],
                           assoc * sizeof(LineState));
+        promoted.prefetch(set);
         __builtin_prefetch(&agingCount[set]);
         if (isSampled(set))
             __builtin_prefetch(&samples[set >> sampleShift]);
@@ -62,36 +67,33 @@ class MockingjayPolicy final : public PolicyBase
     void train(std::size_t sig, std::uint32_t observed);
 
     /**
-     * Sampled cache of one sampled set: an open-addressed SoA table
-     * (line number → last PC signature + timestamp) with the
-     * flat_tables sentinel/tombstone scheme.  Capacity is fixed at
-     * construction — occupancy is bounded by historyLen + 1 — and
-     * arrays are allocated on the set's first access.  Replaces the
-     * per-set unordered_map: identical find/insert/stalest-evict
-     * semantics (timestamps are unique within a set, so the stalest
-     * entry is order-independent), no node allocation.
+     * Sampled cache of one sampled set: its live entries (line number
+     * → last PC signature + timestamp) in slots [0, filled) of three
+     * rows of historyLen + 1 slots: keys, then stamps, then 16-bit PC
+     * signatures, in one block malloc'd on the set's first sampled
+     * access and never cleared (slots past filled are never read).
+     * A lookup scans the keys; an eviction takes the minimum stamp and
+     * moves the last entry into its slot.  Stamps are unique within a
+     * set, so the stalest entry does not depend on slot order.
+     * All-zero is the empty set.  The rows come from the heap, not
+     * one mapped array: a System built after this one reuses their
+     * pages instead of faulting in fresh ones, and they reuse what an
+     * earlier System freed.
      */
     struct SampledSet
     {
-        std::vector<Addr> keys;
-        std::vector<std::uint32_t> pcSigs;
-        std::vector<std::uint64_t> stamps;
-        std::uint32_t filled = 0;
-        std::uint32_t tombs = 0;
-        std::uint64_t tick = 0;
+        std::uint64_t *slots; //!< null until the first access
+        std::uint64_t tick;
+        std::uint32_t filled;
     };
 
-    /** Drop @p ss's tombstones by re-inserting the live entries. */
-    void rehashSample(SampledSet &ss) const;
-
-    /** 16 bytes: the ETR fits a byte because counterBits <= 8. */
+    /** 2 bytes: the ETR fits a byte because counterBits <= 8. */
     struct LineState
     {
-        Tick promoted = 0;    //!< QBS promotion stamp (victim tie-break)
         std::int8_t etr = 0;  //!< in granularity units, signed
         bool valid = false;
     };
-    static_assert(sizeof(LineState) == 16, "LineState must stay compact");
+    static_assert(sizeof(LineState) == 2, "LineState must stay compact");
 
     LineState &line(std::uint32_t set, std::uint32_t way)
     {
@@ -112,12 +114,13 @@ class MockingjayPolicy final : public PolicyBase
     std::uint32_t granularity; //!< set accesses per ETR decrement
 
     std::vector<std::uint16_t> rdp;
+    std::size_t numSampled;
     /** Indexed by set >> sampleShift (only sampled sets are stored). */
-    std::vector<SampledSet> samples;
-    std::size_t sampleCap; //!< per-sampled-set table capacity (pow2)
+    ZeroedArray<SampledSet> samples;
     ZeroedArray<LineState> lines; //!< all-zero = invalid, ETR 0
+    /** QBS promotion order (victim tie-break); cleared on eviction. */
+    RecencyStamps promoted;
     std::vector<std::uint32_t> agingCount; //!< per-set access counter
-    Tick promoteTick = 0;
 };
 
 } // namespace garibaldi

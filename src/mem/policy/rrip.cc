@@ -9,7 +9,8 @@ SrripPolicy::SrripPolicy(std::uint32_t num_sets, std::uint32_t assoc_,
                          unsigned counter_bits)
     : PolicyBase(num_sets, assoc_),
       maxRrpv((1u << counter_bits) - 1),
-      rrpv(std::size_t{num_sets} * assoc_, (1u << counter_bits) - 1)
+      rrpv(std::size_t{num_sets} * assoc_,
+           static_cast<std::uint8_t>((1u << counter_bits) - 1))
 {
     if (counter_bits < 1 || counter_bits > 8)
         panic("RRIP counter bits out of range: ", counter_bits);
@@ -38,7 +39,7 @@ void
 SrripPolicy::insertWith(std::uint32_t set, std::uint32_t way,
                         unsigned value)
 {
-    at(set, way) = value;
+    at(set, way) = static_cast<std::uint8_t>(value);
 }
 
 void

@@ -39,7 +39,7 @@ class SrripPolicy : public PolicyBase
     }
 
   protected:
-    unsigned &at(std::uint32_t set, std::uint32_t way)
+    std::uint8_t &at(std::uint32_t set, std::uint32_t way)
     {
         return rrpv[std::size_t{set} * assoc + way];
     }
@@ -48,7 +48,8 @@ class SrripPolicy : public PolicyBase
     void insertWith(std::uint32_t set, std::uint32_t way, unsigned value);
 
     unsigned maxRrpv;
-    std::vector<unsigned> rrpv;
+    /** One byte per frame: an RRPV is at most maxRrpv <= 255. */
+    std::vector<std::uint8_t> rrpv;
 };
 
 /**

@@ -1,11 +1,16 @@
 /**
  * @file
  * Mockingjay tests: reuse-distance predictor training, ETR aging and
- * victim selection, prefetch-aware insertion, sampled-set training.
+ * victim selection, prefetch-aware insertion, sampled-set training, and
+ * the sampled cache against a std::map reference model.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
+#include "common/rng.hh"
 #include "mem/policy/mockingjay.hh"
 
 namespace garibaldi
@@ -145,6 +150,108 @@ TEST(Mockingjay, OverdueLinesAreVictims)
         p.onHit(0, 3, a);
     }
     EXPECT_EQ(p.victim(0, a), 0u);
+}
+
+/**
+ * Mockingjay's sampled cache and reuse-distance predictor, written
+ * plainly: per sampled set, a std::map of line number → (last PC,
+ * stamp) under a per-set clock.  A hit trains the stored PC with the
+ * distance; a miss inserts and, above historyLen entries, evicts the
+ * stalest entry and trains its PC far.  The predictor is keyed by PC,
+ * which matches the policy's hashed table while the PCs do not collide.
+ */
+class SamplerReference
+{
+  public:
+    SamplerReference(std::uint32_t assoc_, const PolicyParams &p)
+        : assoc(assoc_), sampleShift(p.sampleShift),
+          historyLen(p.historyAssocMult * assoc_)
+    {}
+
+    void
+    access(std::uint32_t set, const MemAccess &a)
+    {
+        if ((set & ((1u << sampleShift) - 1)) != 0 || a.isPrefetch)
+            return;
+        std::uint64_t now = ++ticks[set];
+        std::map<Addr, Entry> &entries = sets[set];
+        Addr key = lineNumber(a.lineAddr());
+        auto it = entries.find(key);
+        if (it != entries.end()) {
+            train(it->second.pc, now - it->second.stamp);
+            it->second = {a.pc, now};
+            return;
+        }
+        entries[key] = {a.pc, now};
+        if (entries.size() > historyLen) {
+            auto stalest = std::min_element(
+                entries.begin(), entries.end(),
+                [](const auto &x, const auto &y) {
+                    return x.second.stamp < y.second.stamp;
+                });
+            train(stalest->second.pc, 2 * historyLen);
+            entries.erase(stalest);
+        }
+    }
+
+    std::uint32_t
+    predictedRd(Addr pc) const
+    {
+        auto it = rdp.find(pc);
+        return it == rdp.end() ? assoc : it->second;
+    }
+
+  private:
+    struct Entry
+    {
+        Addr pc;
+        std::uint64_t stamp;
+    };
+
+    void
+    train(Addr pc, std::uint64_t observed)
+    {
+        auto clamped = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(observed, 2 * historyLen));
+        auto it = rdp.find(pc);
+        if (it == rdp.end())
+            rdp[pc] = clamped;
+        else
+            it->second = (3 * it->second + clamped) / 4;
+    }
+
+    std::uint32_t assoc;
+    unsigned sampleShift;
+    std::uint32_t historyLen;
+    std::map<std::uint32_t, std::map<Addr, Entry>> sets;
+    std::map<std::uint32_t, std::uint64_t> ticks;
+    std::map<Addr, std::uint32_t> rdp; //!< absent = never trained
+};
+
+TEST(Mockingjay, SampledCacheMatchesReferenceModel)
+{
+    PolicyParams params = mjParams();
+    params.sampleShift = 2; // sets 0, 4, 8, 12 of 16 are sampled
+    constexpr std::uint32_t kAssoc = 4; // historyLen 32
+    MockingjayPolicy p(16, kAssoc, params);
+    SamplerReference ref(kAssoc, params);
+    const Addr pcs[] = {0x401000, 0x401040, 0x402000, 0x40a0c0,
+                        0x413370, 0x4ff000};
+    const std::uint32_t sets[] = {0, 1, 4, 12};
+    Pcg32 rng(24, 7);
+    for (int i = 0; i < 20000; ++i) {
+        std::uint32_t set = sets[rng.nextBounded(4)];
+        // 48 keys per set: more than historyLen, so entries are evicted
+        // as well as re-found.
+        MemAccess a = access(pcs[rng.nextBounded(6)],
+                             Addr{set} * 64 + rng.nextBounded(48));
+        a.isPrefetch = rng.chance(0.1);
+        p.onAccess(set, a, false);
+        ref.access(set, a);
+        for (Addr pc : pcs)
+            ASSERT_EQ(p.predictedRd(pc), ref.predictedRd(pc))
+                << "step " << i << " pc " << pc;
+    }
 }
 
 TEST(Mockingjay, RejectsBadCounterWidth)

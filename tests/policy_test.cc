@@ -3,11 +3,16 @@
  * Replacement-policy tests: exact LRU behavior, SRRIP/DRRIP semantics,
  * SHiP training, plus parameterized invariants that every policy must
  * satisfy (victims in range, promote shields from the immediate
- * re-selection, factory round-trips).
+ * re-selection, factory round-trips), and the byte recency stamps
+ * against global ticks.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/rng.hh"
+#include "mem/policy/recency_stamps.hh"
 #include "mem/policy/replacement.hh"
 #include "mem/policy/rrip.hh"
 #include "mem/policy/ship.hh"
@@ -217,6 +222,64 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PolicyKind> &pinfo) {
         return std::string(policyKindName(pinfo.param));
     });
+
+/** Oldest way of [lo, hi) under global ticks: minimum, lowest on ties. */
+std::uint32_t
+oldestByTick(const Tick *row, std::uint32_t lo, std::uint32_t hi)
+{
+    std::uint32_t best = lo;
+    for (std::uint32_t w = lo + 1; w < hi; ++w)
+        if (row[w] < row[best])
+            best = w;
+    return best;
+}
+
+// Random touches and clears, well over 255 touches per row, so every
+// row is re-ranked many times.  After each step the touched row orders
+// its ways exactly as global ticks do, and the oldest way of the whole
+// row and of a random way range (a partition region) agree.
+TEST(RecencyStamps, MatchesGlobalTickReference)
+{
+    for (std::uint32_t assoc : {6u, 12u, 16u, 48u}) {
+        SCOPED_TRACE(assoc);
+        constexpr std::uint32_t kSets = 4;
+        RecencyStamps stamps(kSets, assoc);
+        std::vector<Tick> ref(std::size_t{kSets} * assoc, 0);
+        Tick tick = 0;
+        Pcg32 rng(assoc, 5);
+        for (int i = 0; i < 20000; ++i) {
+            std::uint32_t set = rng.nextBounded(kSets);
+            std::uint32_t way = rng.nextBounded(assoc);
+            const Tick *row = &ref[std::size_t{set} * assoc];
+            if (rng.chance(0.1)) {
+                stamps.clear(set, way);
+                ref[std::size_t{set} * assoc + way] = 0;
+            } else {
+                stamps.touch(set, way);
+                ref[std::size_t{set} * assoc + way] = ++tick;
+            }
+            for (std::uint32_t x = 0; x < assoc; ++x)
+                for (std::uint32_t y = 0; y < assoc; ++y)
+                    ASSERT_EQ(stamps.stamp(set, x) < stamps.stamp(set, y),
+                              row[x] < row[y])
+                        << "step " << i << " ways " << x << ", " << y;
+            std::uint32_t lo = rng.nextBounded(assoc);
+            std::uint32_t hi = lo + 1 + rng.nextBounded(assoc - lo);
+            ASSERT_EQ(stamps.oldest(set, 0, assoc),
+                      oldestByTick(row, 0, assoc)) << "step " << i;
+            ASSERT_EQ(stamps.oldest(set, lo, hi), oldestByTick(row, lo, hi))
+                << "step " << i;
+        }
+    }
+}
+
+TEST(RecencyStamps, RejectsRowsWiderThanMaxAssoc)
+{
+    RecencyStamps widest(1, RecencyStamps::kMaxAssoc);
+    EXPECT_TRUE(static_cast<bool>(widest));
+    EXPECT_EXIT({ RecencyStamps s(1, RecencyStamps::kMaxAssoc + 1); },
+                testing::ExitedWithCode(1), "associativity 129");
+}
 
 } // namespace
 } // namespace garibaldi
