@@ -165,7 +165,8 @@ echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 # fig14d runs the way-partitioned LLC, the one victim path that reads
 # the cache's own LRU stamps (pickPartitionVictim).  fig12 runs DRRIP,
 # Hawkeye and Mockingjay; fig17 runs 6- to 48-way LRU and Mockingjay
-# LLCs.
+# LLCs.  hawkeye_long is the one golden long enough for Hawkeye's
+# sampled sets to overflow their history window.
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
@@ -183,7 +184,11 @@ echo "== obs: knobs-off byte-identity vs goldens =="
     > "$build/golden_fig12.txt"
 "$build/fig17_associativity" --warmup 20000 --instr 50000 \
     > "$build/golden_fig17.txt"
-for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d fig12 fig17; do
+"$build/policy_explorer" --cores 2 --policy hawkeye --garibaldi \
+    --workload tpcc --warmup 400000 --instr 400000 \
+    > "$build/golden_hawkeye_long.txt"
+for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d fig12 fig17 \
+    hawkeye_long; do
   g="${out%_j8}"
   if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" \
       > /dev/null; then
@@ -192,7 +197,7 @@ for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d fig12 fig17; do
     exit 1
   fi
 done
-echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03/fig14d/fig12/fig17: byte-identical to goldens with obs off"
+echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03/fig14d/fig12/fig17/hawkeye_long: byte-identical to goldens with obs off"
 
 # Audit mode is a pure checker: enabling --audit must not perturb a
 # single output byte on a healthy run.

@@ -290,7 +290,7 @@ def lint_file(path, rel, sibling_unordered):
 
 def sibling_header_unordered(path):
     """Unordered container names declared in the paired header of a
-    .cc file (optgen.cc iterates a map declared in optgen.hh)."""
+    .cc file, which the .cc may iterate."""
     stem, ext = os.path.splitext(path)
     if ext not in (".cc", ".cpp"):
         return set()

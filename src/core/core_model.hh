@@ -34,7 +34,6 @@ namespace garibaldi
 struct CoreParams
 {
     unsigned issueWidth = 6;
-    unsigned robEntries = 256;
     Cycle mispredictPenalty = 14;
     /** Fetch latency hidden by the decoupled fetch/decode queue. */
     Cycle fetchHideCycles = 8;

@@ -8,17 +8,12 @@ namespace garibaldi
 HawkeyePolicy::HawkeyePolicy(std::uint32_t num_sets, std::uint32_t assoc_,
                              const PolicyParams &params)
     : PolicyBase(num_sets, assoc_),
-      sampleShift(params.sampleShift),
       predictor(kPredictorSize, SatCounter(3, 4)),
       lines(std::size_t{num_sets} * assoc_),
-      historyLen(params.historyAssocMult * assoc_)
+      optgen(assoc_, params.historyAssocMult * assoc_),
+      history(num_sets, params.sampleShift,
+              params.historyAssocMult * assoc_, optgen.rowBytes())
 {
-}
-
-bool
-HawkeyePolicy::isSampled(std::uint32_t set) const
-{
-    return (set & ((1u << sampleShift) - 1)) == 0;
 }
 
 std::size_t
@@ -37,27 +32,24 @@ HawkeyePolicy::isFriendly(Addr pc) const
 void
 HawkeyePolicy::onAccess(std::uint32_t set, const MemAccess &acc, bool)
 {
-    if (!isSampled(set) || acc.isPrefetch)
+    if (!history.sampled(set) || acc.isPrefetch)
         return;
-    auto [it, inserted] = samplers.try_emplace(set);
-    Sampler &s = it->second;
-    if (inserted)
-        s.optgen = std::make_unique<OptGen>(assoc, historyLen);
-
-    Addr tag = acc.lineAddr();
-    auto prev = s.lastPc.find(tag);
-    bool opt_hit = s.optgen->access(tag);
-    if (prev != s.lastPc.end()) {
-        // Train the PC that brought the line in: OPT hit => that PC's
-        // lines are worth caching.
+    SampledHistory::Access a =
+        history.access(set, lineNumber(acc.lineAddr()),
+                       static_cast<std::uint16_t>(pcIndex(acc.pc)));
+    bool opt_hit = optgen.access(history.row(set), a.now, a.reuse);
+    if (a.reuse) {
+        // Train the PC that last touched the line: OPT hit => that
+        // PC's lines are worth caching.
         if (opt_hit)
-            predictor[prev->second].increment();
+            predictor[a.prevSig].increment();
         else
-            predictor[prev->second].decrement();
+            predictor[a.prevSig].decrement();
+    } else if (a.evicted) {
+        // The stalest line left the window unreused, so OPT would not
+        // have kept it either.
+        predictor[a.evictedSig].decrement();
     }
-    s.lastPc[tag] = static_cast<std::uint32_t>(pcIndex(acc.pc));
-    if (s.lastPc.size() > 8 * historyLen)
-        s.lastPc.clear(); // coarse bound; sampler state is advisory
 }
 
 void
@@ -66,11 +58,8 @@ HawkeyePolicy::onHit(std::uint32_t set, std::uint32_t way,
 {
     LineState &ls = line(set, way);
     ls.friendly = isFriendly(acc.pc);
-    ls.pcSig = static_cast<std::uint32_t>(pcIndex(acc.pc));
-    if (ls.friendly)
-        ls.rrpv = 0;
-    else
-        ls.rrpv = kMaxRrpv;
+    ls.pcSig = static_cast<std::uint16_t>(pcIndex(acc.pc));
+    ls.rrpv = ls.friendly ? 0 : kMaxRrpv;
 }
 
 std::uint32_t
@@ -102,7 +91,7 @@ HawkeyePolicy::onInsert(std::uint32_t set, std::uint32_t way,
 {
     LineState &ls = line(set, way);
     ls.valid = true;
-    ls.pcSig = static_cast<std::uint32_t>(pcIndex(acc.pc));
+    ls.pcSig = static_cast<std::uint16_t>(pcIndex(acc.pc));
     ls.friendly = !acc.isPrefetch && isFriendly(acc.pc);
     if (ls.friendly) {
         // Age other friendly lines so older friendlies become victims

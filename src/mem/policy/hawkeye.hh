@@ -9,13 +9,12 @@
 #ifndef GARIBALDI_MEM_POLICY_HAWKEYE_HH
 #define GARIBALDI_MEM_POLICY_HAWKEYE_HH
 
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sat_counter.hh"
 #include "mem/policy/optgen.hh"
 #include "mem/policy/policy_base.hh"
+#include "mem/policy/sampled_history.hh"
 
 namespace garibaldi
 {
@@ -34,11 +33,14 @@ class HawkeyePolicy final : public PolicyBase
     void promote(std::uint32_t set, std::uint32_t way);
     void onEvict(std::uint32_t set, std::uint32_t way);
 
+    /** Host-prefetch the set's line row and, for a sampled set, its
+     *  history header. */
     void
     prefetchSet(std::uint32_t set) const
     {
         prefetchHostLines(&lines[std::size_t{set} * assoc],
                           assoc * sizeof(LineState));
+        history.prefetch(set);
     }
 
     /** Predictor verdict for a PC, exposed for tests. */
@@ -50,35 +52,30 @@ class HawkeyePolicy final : public PolicyBase
         std::size_t{1} << kPredictorBits;
     static constexpr unsigned kMaxRrpv = 7;
 
-    /** Per-sampled-set training state. */
-    struct Sampler
-    {
-        std::unique_ptr<OptGen> optgen;
-        /** tag -> PC signature of the previous access to that tag. */
-        std::unordered_map<Addr, std::uint32_t> lastPc;
-    };
-
-    bool isSampled(std::uint32_t set) const;
     static std::size_t pcIndex(Addr pc);
 
+    /** 4 bytes: the RRPV, then the 13-bit PC signature and flags. */
     struct LineState
     {
-        unsigned rrpv = kMaxRrpv;
-        std::uint32_t pcSig = 0;
-        bool friendly = false;
-        bool valid = false;
+        std::uint8_t rrpv = kMaxRrpv;
+        std::uint16_t pcSig : kPredictorBits;
+        std::uint16_t friendly : 1;
+        std::uint16_t valid : 1;
+
+        LineState() : pcSig(0), friendly(0), valid(0) {}
     };
+    static_assert(sizeof(LineState) <= 4, "LineState must stay compact");
 
     LineState &line(std::uint32_t set, std::uint32_t way)
     {
         return lines[std::size_t{set} * assoc + way];
     }
 
-    unsigned sampleShift;
     std::vector<SatCounter> predictor;
-    std::unordered_map<std::uint32_t, Sampler> samplers;
     std::vector<LineState> lines;
-    std::uint32_t historyLen;
+    OptGen optgen;
+    /** Each sampled set's row is OPTgen's occupancy row. */
+    SampledHistory history;
 };
 
 } // namespace garibaldi

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <new>
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
@@ -14,16 +13,13 @@ MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
                                    std::uint32_t assoc_,
                                    const PolicyParams &params)
     : PolicyBase(num_sets, assoc_),
-      sampleShift(params.sampleShift),
       historyLen(params.historyAssocMult * assoc_),
       maxEtr((1 << (params.counterBits - 1)) - 1),
       minEtr(-(1 << (params.counterBits - 1))),
       granularity(std::max<std::uint32_t>(
           1, historyLen / static_cast<std::uint32_t>(maxEtr))),
       rdp(kRdpSize, kUnknownRd),
-      numSampled(num_sets >= (1u << sampleShift)
-                     ? num_sets >> sampleShift : 1),
-      samples(makeZeroedArray<SampledSet>(numSampled)),
+      history(num_sets, params.sampleShift, historyLen),
       lines(makeZeroedArray<LineState>(std::size_t{num_sets} * assoc_)),
       promoted(num_sets, assoc_),
       agingCount(num_sets, 0)
@@ -32,23 +28,10 @@ MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
         panic("Mockingjay ETR bits out of range: ", params.counterBits);
 }
 
-MockingjayPolicy::~MockingjayPolicy()
-{
-    if (samples)
-        for (std::size_t i = 0; i < numSampled; ++i)
-            std::free(samples[i].slots);
-}
-
 std::size_t
 MockingjayPolicy::pcIndex(Addr pc)
 {
     return static_cast<std::size_t>(mix64(pc >> 2)) & (kRdpSize - 1);
-}
-
-bool
-MockingjayPolicy::isSampled(std::uint32_t set) const
-{
-    return (set & ((1u << sampleShift) - 1)) == 0;
 }
 
 void
@@ -95,56 +78,22 @@ MockingjayPolicy::onAccess(std::uint32_t set, const MemAccess &acc, bool)
         }
     }
 
-    if (!isSampled(set) || acc.isPrefetch)
+    if (!history.sampled(set) || acc.isPrefetch)
         return;
 
     // Sampled cache: a hit trains the previous accessor's PC with the
-    // observed reuse distance; a miss appends the line, evicting the
-    // stalest entry once the set holds more than historyLen.
-    SampledSet &ss = samples[set >> sampleShift];
-    std::size_t cap = std::size_t{historyLen} + 1;
-    if (!ss.slots) {
-        ss.slots = static_cast<std::uint64_t *>(
-            std::malloc(cap * (2 * sizeof(std::uint64_t) +
-                               sizeof(std::uint16_t))));
-        if (!ss.slots)
-            throw std::bad_alloc();
-    }
-    ++ss.tick;
-    Addr *keys = ss.slots;
-    std::uint64_t *stamps = ss.slots + cap;
-    auto *sigs = reinterpret_cast<std::uint16_t *>(ss.slots + 2 * cap);
-    Addr key = lineNumber(acc.lineAddr());
-    auto sig = static_cast<std::uint16_t>(pcIndex(acc.pc));
-    auto slot = static_cast<std::uint32_t>(
-        std::find(keys, keys + ss.filled, key) - keys);
-
-    if (slot < ss.filled) {
-        std::uint64_t dist = ss.tick - stamps[slot];
-        train(sigs[slot],
+    // observed reuse distance; the stalest entry, evicted once the set
+    // holds more than historyLen, left the window unreused, so its PC
+    // is trained toward scan-like (far) behavior.
+    SampledHistory::Access a =
+        history.access(set, lineNumber(acc.lineAddr()),
+                       static_cast<std::uint16_t>(pcIndex(acc.pc)));
+    if (a.reuse)
+        train(a.prevSig,
               static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                  dist, 2 * historyLen)));
-        sigs[slot] = sig;
-        stamps[slot] = ss.tick;
-        return;
-    }
-
-    keys[slot] = key;
-    sigs[slot] = sig;
-    stamps[slot] = ss.tick;
-    if (++ss.filled > historyLen) {
-        // Evict the stalest sample; it left the window unreused, so
-        // its PC is trained toward scan-like (far) behavior.  The
-        // newest stamp belongs to the entry just written, so the
-        // minimum is always an older one.
-        auto oldest = static_cast<std::uint32_t>(
-            std::min_element(stamps, stamps + ss.filled) - stamps);
-        train(sigs[oldest], 2 * historyLen);
-        std::uint32_t last = --ss.filled;
-        keys[oldest] = keys[last];
-        sigs[oldest] = sigs[last];
-        stamps[oldest] = stamps[last];
-    }
+                  a.reuse, 2 * historyLen)));
+    else if (a.evicted)
+        train(a.evictedSig, 2 * historyLen);
 }
 
 void

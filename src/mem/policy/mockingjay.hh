@@ -16,6 +16,7 @@
 #include "common/zeroed_array.hh"
 #include "mem/policy/policy_base.hh"
 #include "mem/policy/recency_stamps.hh"
+#include "mem/policy/sampled_history.hh"
 
 namespace garibaldi
 {
@@ -26,10 +27,6 @@ class MockingjayPolicy final : public PolicyBase
   public:
     MockingjayPolicy(std::uint32_t num_sets, std::uint32_t assoc,
                      const PolicyParams &params);
-    /** Moving leaves the source without sampled rows to free. */
-    MockingjayPolicy(MockingjayPolicy &&) = default;
-    MockingjayPolicy &operator=(MockingjayPolicy &&) = delete;
-    ~MockingjayPolicy(); //!< frees the sampled rows
 
     void onAccess(std::uint32_t set, const MemAccess &acc, bool hit);
     void onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
@@ -39,7 +36,7 @@ class MockingjayPolicy final : public PolicyBase
     void onEvict(std::uint32_t set, std::uint32_t way);
 
     /** Host-prefetch the set's line row, promotion row and aging
-     *  counter and, for a sampled set, its sampler header. */
+     *  counter and, for a sampled set, its history header. */
     void
     prefetchSet(std::uint32_t set) const
     {
@@ -47,8 +44,7 @@ class MockingjayPolicy final : public PolicyBase
                           assoc * sizeof(LineState));
         promoted.prefetch(set);
         __builtin_prefetch(&agingCount[set]);
-        if (isSampled(set))
-            __builtin_prefetch(&samples[set >> sampleShift]);
+        history.prefetch(set);
     }
 
     /** Predicted reuse distance for a PC (set-access units); for tests. */
@@ -63,29 +59,7 @@ class MockingjayPolicy final : public PolicyBase
     static constexpr std::uint16_t kUnknownRd = 0xffff;
 
     static std::size_t pcIndex(Addr pc);
-    bool isSampled(std::uint32_t set) const;
     void train(std::size_t sig, std::uint32_t observed);
-
-    /**
-     * Sampled cache of one sampled set: its live entries (line number
-     * → last PC signature + timestamp) in slots [0, filled) of three
-     * rows of historyLen + 1 slots: keys, then stamps, then 16-bit PC
-     * signatures, in one block malloc'd on the set's first sampled
-     * access and never cleared (slots past filled are never read).
-     * A lookup scans the keys; an eviction takes the minimum stamp and
-     * moves the last entry into its slot.  Stamps are unique within a
-     * set, so the stalest entry does not depend on slot order.
-     * All-zero is the empty set.  The rows come from the heap, not
-     * one mapped array: a System built after this one reuses their
-     * pages instead of faulting in fresh ones, and they reuse what an
-     * earlier System freed.
-     */
-    struct SampledSet
-    {
-        std::uint64_t *slots; //!< null until the first access
-        std::uint64_t tick;
-        std::uint32_t filled;
-    };
 
     /** 2 bytes: the ETR fits a byte because counterBits <= 8. */
     struct LineState
@@ -107,16 +81,14 @@ class MockingjayPolicy final : public PolicyBase
 
     std::int8_t etrFromRd(std::uint32_t rd) const;
 
-    unsigned sampleShift;
     std::uint32_t historyLen;
     int maxEtr;   //!< positive saturation for ETR counters
     int minEtr;   //!< negative saturation
     std::uint32_t granularity; //!< set accesses per ETR decrement
 
     std::vector<std::uint16_t> rdp;
-    std::size_t numSampled;
-    /** Indexed by set >> sampleShift (only sampled sets are stored). */
-    ZeroedArray<SampledSet> samples;
+    /** The sampled cache. */
+    SampledHistory history;
     ZeroedArray<LineState> lines; //!< all-zero = invalid, ETR 0
     /** QBS promotion order (victim tie-break); cleared on eviction. */
     RecencyStamps promoted;

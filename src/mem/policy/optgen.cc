@@ -6,53 +6,39 @@ namespace garibaldi
 {
 
 OptGen::OptGen(std::uint32_t cache_assoc, std::uint32_t window_)
-    : assocLimit(cache_assoc), window(window_), occupancy(window_, 0)
+    : assocLimit(static_cast<std::uint8_t>(cache_assoc)), window(window_)
 {
-    if (cache_assoc == 0 || window_ == 0)
-        panic("OptGen requires non-zero assoc and window");
+    if (cache_assoc == 0 || cache_assoc > 255 || window_ == 0)
+        fatal("OptGen needs associativity 1..255 and a non-zero window, "
+              "got ", cache_assoc, " and ", window_);
 }
 
 bool
-OptGen::access(Addr tag)
+OptGen::access(std::uint8_t *occupancy, std::uint64_t now,
+               std::uint64_t reuse) const
 {
     // The slot for "now" starts empty.
-    occupancy[time % window] = 0;
+    occupancy[now % window] = 0;
+    if (reuse == 0 || reuse >= window)
+        return false;
 
-    bool hit = false;
-    auto it = lastAccess.find(tag);
-    if (it != lastAccess.end() && time - it->second < window) {
-        // Liveness interval [prev, now): OPT caches the line iff every
-        // quantum in the interval still has spare capacity.
-        std::uint64_t prev = it->second;
-        bool can_cache = true;
-        for (std::uint64_t t = prev; t < time; ++t) {
-            if (occupancy[t % window] >= assocLimit) {
-                can_cache = false;
-                break;
-            }
-        }
-        if (can_cache) {
-            for (std::uint64_t t = prev; t < time; ++t)
-                ++occupancy[t % window];
-            hit = true;
-            ++hits;
-        }
+    // Liveness interval [now - reuse, now): OPT caches the line iff
+    // every quantum in the interval still has spare capacity.
+    auto start = static_cast<std::uint32_t>((now - reuse) % window);
+    std::uint32_t t = start;
+    for (std::uint64_t i = 0; i < reuse; ++i) {
+        if (occupancy[t] >= assocLimit)
+            return false;
+        if (++t == window)
+            t = 0;
     }
-    lastAccess[tag] = time;
-    ++time;
-
-    // Bound the map: drop entries that fell out of the window.  Amortize
-    // by sweeping occasionally.
-    if (lastAccess.size() > 4 * window) {
-        // determinism-lint: allow(unordered-iteration) erase-only sweep; which entries drop is order-independent and nothing is emitted
-        for (auto i = lastAccess.begin(); i != lastAccess.end();) {
-            if (time - i->second >= window)
-                i = lastAccess.erase(i);
-            else
-                ++i;
-        }
+    t = start;
+    for (std::uint64_t i = 0; i < reuse; ++i) {
+        ++occupancy[t];
+        if (++t == window)
+            t = 0;
     }
-    return hit;
+    return true;
 }
 
 } // namespace garibaldi

@@ -10,46 +10,43 @@
 #define GARIBALDI_MEM_POLICY_OPTGEN_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
-
-#include "common/types.hh"
 
 namespace garibaldi
 {
 
 /**
- * Per-set OPT simulator.  Reuse intervals longer than the window are
- * treated as cold (misses), exactly as in the Hawkeye paper.
+ * OPT's rule for one set, over the set's occupancy row: window bytes,
+ * circular, indexed by access time, each counting the lines OPT keeps
+ * across that time.  The caller owns the row (zeroed before the set's
+ * first access) and supplies each access's reuse interval, from a
+ * SampledHistory of at least window entries.  Reuse intervals as long
+ * as the window are treated as cold (misses), exactly as in the
+ * Hawkeye paper.
  */
 class OptGen
 {
   public:
     /**
-     * @param cache_assoc ways available to OPT in this set
+     * @param cache_assoc ways available to OPT in a set (1..255, so an
+     *        occupancy count fits a byte)
      * @param window history window length in accesses (8x assoc typical)
      */
     OptGen(std::uint32_t cache_assoc, std::uint32_t window);
 
+    /** Bytes of a set's occupancy row. */
+    std::uint32_t rowBytes() const { return window; }
+
     /**
-     * Record an access to @p tag; returns true when OPT would have hit.
-     * Cold and out-of-window accesses return false.
+     * Record the access at time @p now to a line last accessed
+     * @p reuse accesses earlier (0 = never); returns true when OPT
+     * would have hit.
      */
-    bool access(Addr tag);
-
-    /** Number of accesses processed. */
-    std::uint64_t accesses() const { return time; }
-
-    /** Number of OPT hits determined so far. */
-    std::uint64_t optHits() const { return hits; }
+    bool access(std::uint8_t *occupancy, std::uint64_t now,
+                std::uint64_t reuse) const;
 
   private:
-    std::uint32_t assocLimit;
+    std::uint8_t assocLimit;
     std::uint32_t window;
-    std::vector<std::uint32_t> occupancy; // circular, indexed by time
-    std::unordered_map<Addr, std::uint64_t> lastAccess;
-    std::uint64_t time = 0;
-    std::uint64_t hits = 0;
 };
 
 } // namespace garibaldi

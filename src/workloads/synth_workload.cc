@@ -57,14 +57,6 @@ SynthWorkload::enterHandler()
     loopRemaining = curBlock->loopIters;
 }
 
-MicroOp
-SynthWorkload::makePlain(Addr pc) const
-{
-    MicroOp op;
-    op.pc = pc;
-    return op;
-}
-
 void
 SynthWorkload::attachMemOp(MicroOp &op, const BlockInfo &bi)
 {
@@ -82,42 +74,40 @@ SynthWorkload::attachMemOp(MicroOp &op, const BlockInfo &bi)
                                               : MicroOp::MemKind::Load;
 }
 
-MicroOp
-SynthWorkload::next()
+void
+SynthWorkload::nextInto(MicroOp &op)
 {
+    op = MicroOp{};
     if (phase == Phase::Dispatch) {
-        Addr pc = kDispatcherPc + dispatchIdx * CodeLayout::kInstrBytes;
+        op.pc = kDispatcherPc + dispatchIdx * CodeLayout::kInstrBytes;
         if (dispatchIdx + 1 < kDispatchLen) {
             ++dispatchIdx;
-            return makePlain(pc);
+            return;
         }
         // Indirect call into the Zipf-selected handler.
         enterHandler();
-        MicroOp op = makePlain(pc);
         op.isBranch = true;
         op.isIndirect = true;
         op.branchTaken = true;
         op.branchTarget = curFunc->entry;
         phase = Phase::Block;
         dispatchIdx = 0;
-        return op;
+        return;
     }
 
     const FunctionInfo &fi = *curFunc;
     const BlockInfo &bi = *curBlock;
 
-    Addr pc = bi.pc + instrIdx * CodeLayout::kInstrBytes;
+    op.pc = bi.pc + instrIdx * CodeLayout::kInstrBytes;
     bool last_instr = instrIdx + 1 >= bi.numInstrs;
 
     if (!last_instr) {
-        MicroOp op = makePlain(pc);
         attachMemOp(op, bi);
         ++instrIdx;
-        return op;
+        return;
     }
 
     // Terminating instruction of the block iteration: a branch.
-    MicroOp op = makePlain(pc);
     op.isBranch = true;
 
     if (loopRemaining > 1) {
@@ -126,7 +116,7 @@ SynthWorkload::next()
         instrIdx = 0;
         op.branchTaken = true;
         op.branchTarget = bi.pc;
-        return op;
+        return;
     }
 
     bool taken = walkRng.chance(bi.takenProb);
@@ -141,7 +131,7 @@ SynthWorkload::next()
         op.branchTarget = kDispatcherPc;
         phase = Phase::Dispatch;
         dispatchIdx = 0;
-        return op;
+        return;
     }
 
     // A function's blocks are contiguous in the layout.
@@ -151,7 +141,6 @@ SynthWorkload::next()
     blockOffset = next_offset;
     instrIdx = 0;
     loopRemaining = curBlock->loopIters;
-    return op;
 }
 
 } // namespace garibaldi

@@ -46,7 +46,13 @@ class SynthWorkload
     makeLayout(const WorkloadParams &params);
 
     /** Produce the next retired instruction. */
-    MicroOp next();
+    MicroOp
+    next()
+    {
+        MicroOp op;
+        nextInto(op);
+        return op;
+    }
 
     /**
      * Produce the next @p n instructions into @p out — identical to
@@ -56,7 +62,7 @@ class SynthWorkload
     fill(MicroOp *out, std::size_t n)
     {
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = next();
+            nextInto(out[i]);
     }
 
     /** Stream name for reports. */
@@ -69,7 +75,10 @@ class SynthWorkload
     enum class Phase : std::uint8_t { Dispatch, Block };
 
     void enterHandler();
-    MicroOp makePlain(Addr pc) const;
+    /** Write the next instruction over @p op, in place: building it
+     *  on the stack and copying it out costs a store-forwarding stall
+     *  per micro-op. */
+    void nextInto(MicroOp &op);
     void attachMemOp(MicroOp &op, const BlockInfo &bi);
 
     WorkloadParams p;

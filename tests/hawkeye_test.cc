@@ -1,20 +1,25 @@
 /**
  * @file
- * Hawkeye and OPTgen tests, including the property test comparing
- * OPTgen against a brute-force Belady simulator on random single-set
- * traces (they must agree exactly when reuse intervals are capped to
- * the OPTgen window, which is how the Hawkeye paper defines OPTgen).
+ * Hawkeye, OPTgen and sampled-history tests, including the property
+ * test comparing OPTgen against a brute-force Belady simulator on
+ * random single-set traces (they must agree exactly when reuse
+ * intervals are capped to the OPTgen window, which is how the Hawkeye
+ * paper defines OPTgen), and Hawkeye's training against a reference
+ * model built from std::map last-access times.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <map>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.hh"
 #include "mem/policy/hawkeye.hh"
 #include "mem/policy/optgen.hh"
+#include "mem/policy/sampled_history.hh"
 
 namespace garibaldi
 {
@@ -79,9 +84,38 @@ beladyHits(const std::vector<Addr> &trace, std::uint32_t ways,
     return hits;
 }
 
+/**
+ * One OPTgen set driven as Hawkeye drives it: reuse intervals from a
+ * SampledHistory of window entries, OptGen's occupancy row in the
+ * history's caller row.
+ */
+class OptGenSet
+{
+  public:
+    OptGenSet(std::uint32_t ways, std::uint32_t window)
+        : opt(ways, window), history(1, 0, window, opt.rowBytes())
+    {}
+
+    bool
+    access(Addr tag)
+    {
+        SampledHistory::Access a = history.access(0, tag, 0);
+        bool hit = opt.access(history.row(0), a.now, a.reuse);
+        hits += hit;
+        return hit;
+    }
+
+    std::uint64_t optHits() const { return hits; }
+
+  private:
+    OptGen opt;
+    SampledHistory history;
+    std::uint64_t hits = 0;
+};
+
 TEST(OptGen, ColdAccessesMiss)
 {
-    OptGen opt(4, 32);
+    OptGenSet opt(4, 32);
     EXPECT_FALSE(opt.access(1));
     EXPECT_FALSE(opt.access(2));
     EXPECT_EQ(opt.optHits(), 0u);
@@ -89,7 +123,7 @@ TEST(OptGen, ColdAccessesMiss)
 
 TEST(OptGen, SimpleReuseHits)
 {
-    OptGen opt(2, 32);
+    OptGenSet opt(2, 32);
     opt.access(1);
     opt.access(2);
     EXPECT_TRUE(opt.access(1)); // both fit in 2 ways
@@ -98,7 +132,7 @@ TEST(OptGen, SimpleReuseHits)
 
 TEST(OptGen, CapacityBoundsHits)
 {
-    OptGen opt(1, 32); // single way
+    OptGenSet opt(1, 32); // single way
     opt.access(1);
     opt.access(2);
     // OPT can keep only one line per quantum; 1's interval overlaps 2's
@@ -110,16 +144,31 @@ TEST(OptGen, CapacityBoundsHits)
 
 TEST(OptGen, BeyondWindowIsCold)
 {
-    OptGen opt(8, 4);
+    OptGenSet opt(8, 4);
     opt.access(42);
     for (Addr a = 100; a < 105; ++a)
         opt.access(a);
     EXPECT_FALSE(opt.access(42)); // interval 6 > window 4
 }
 
+TEST(OptGen, IntervalOfOneWindowIsCold)
+{
+    OptGenSet cold(8, 4);
+    cold.access(42);
+    for (Addr a = 100; a < 103; ++a)
+        cold.access(a);
+    EXPECT_FALSE(cold.access(42)); // interval 4 == window 4
+
+    OptGenSet warm(8, 4);
+    warm.access(42);
+    for (Addr a = 100; a < 102; ++a)
+        warm.access(a);
+    EXPECT_TRUE(warm.access(42)); // interval 3 < window 4
+}
+
 TEST(OptGen, ScanDoesNotPolluteOpt)
 {
-    OptGen opt(2, 64);
+    OptGenSet opt(2, 64);
     // Working set {1,2} with an interleaved scan: OPT keeps {1,2}.
     std::uint64_t scan = 1000;
     for (int round = 0; round < 8; ++round) {
@@ -147,7 +196,7 @@ TEST_P(OptGenPropertyTest, MatchesBruteForceBelady)
     for (int i = 0; i < 600; ++i)
         trace.push_back(1 + rng.nextBounded(tags));
 
-    OptGen opt(ways, window);
+    OptGenSet opt(ways, window);
     std::uint64_t optgen_hits = 0;
     for (Addr t : trace)
         optgen_hits += opt.access(t);
@@ -164,6 +213,163 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(8, 64, 6),
                       std::make_tuple(12, 30, 7),
                       std::make_tuple(16, 50, 8)));
+
+TEST(SampledHistory, EvictsStalestAndStaysBounded)
+{
+    constexpr std::uint32_t kLen = 16;
+    constexpr std::uint32_t kSets = 3;
+    SampledHistory h(kSets, 0, kLen);
+    std::map<Addr, std::uint64_t> last[kSets]; // line -> stamp
+    Pcg32 rng(3, 7);
+    std::uint64_t evictions = 0, reuses = 0;
+    for (int i = 0; i < 5000; ++i) {
+        std::uint32_t s = rng.nextBounded(kSets);
+        Addr line = rng.nextBounded(40);
+        // The signature names the line, so an eviction says which.
+        SampledHistory::Access a =
+            h.access(s, line, static_cast<std::uint16_t>(line));
+        std::map<Addr, std::uint64_t> &ref = last[s];
+        auto it = ref.find(line);
+        if (it != ref.end()) {
+            ++reuses;
+            EXPECT_EQ(a.reuse, a.now - it->second);
+            EXPECT_EQ(a.prevSig, line);
+        } else {
+            EXPECT_EQ(a.reuse, 0u);
+        }
+        ref[line] = a.now;
+        if (ref.size() > kLen) {
+            auto stalest = std::min_element(
+                ref.begin(), ref.end(), [](const auto &x, const auto &y) {
+                    return x.second < y.second;
+                });
+            ASSERT_TRUE(a.evicted) << "access " << i;
+            EXPECT_EQ(a.evictedSig, stalest->first) << "access " << i;
+            ref.erase(stalest);
+            ++evictions;
+        } else {
+            EXPECT_FALSE(a.evicted) << "access " << i;
+        }
+        ASSERT_LE(h.filled(s), kLen);
+        EXPECT_EQ(h.filled(s), ref.size());
+    }
+    EXPECT_GT(evictions, 100u);
+    EXPECT_GT(reuses, 100u);
+}
+
+TEST(SampledHistory, CallerRowStartsZeroed)
+{
+    SampledHistory h(2, 0, 4, 8);
+    h.access(1, 42, 7);
+    const std::uint8_t *row = h.row(1);
+    EXPECT_TRUE(std::all_of(row, row + 8,
+                            [](std::uint8_t b) { return b == 0; }));
+    EXPECT_EQ(h.filled(0), 0u);
+    EXPECT_EQ(h.filled(1), 1u);
+}
+
+/**
+ * Hawkeye's training against an independent model: per sampled set,
+ * every line's last access (time, PC) in a std::map trimmed to the
+ * historyLen most recent lines, OPT over an occupancy vector indexed
+ * by absolute time, and a 3-bit counter per PC.  A reuse trains the
+ * previous accessor by OPT's verdict; a line pushed out of the history
+ * unreused detrains its last accessor; prefetches and unsampled sets
+ * train nothing.
+ */
+TEST(Hawkeye, SampledHistoryMatchesReferenceModel)
+{
+    constexpr std::uint32_t kSets = 8;
+    constexpr std::uint32_t kWays = 4;
+    PolicyParams params;
+    params.sampleShift = 1; // sets 0, 2, 4 and 6 train
+    HawkeyePolicy p(kSets, kWays, params);
+    const std::uint32_t window = params.historyAssocMult * kWays;
+    // The first three PCs reuse a few hot lines; the rest scan a pool
+    // larger than the window.
+    const std::vector<Addr> pcs = {0x401000, 0x401104, 0x401208,
+                                   0x40130c, 0x401410, 0x401514};
+
+    struct Entry
+    {
+        std::uint64_t time;
+        Addr pc;
+    };
+    struct RefSet
+    {
+        std::map<Addr, Entry> last;
+        std::vector<unsigned> occupancy;
+    };
+    std::map<std::uint32_t, RefSet> sets;
+    std::map<Addr, unsigned> counter;
+    for (Addr pc : pcs)
+        counter[pc] = 4;
+    auto train = [&](Addr pc, bool up) {
+        unsigned &c = counter[pc];
+        if (up && c < 7)
+            ++c;
+        else if (!up && c > 0)
+            --c;
+    };
+
+    Pcg32 rng(11, 5);
+    std::uint64_t opt_hits = 0, evictions = 0, friendly_seen = 0,
+                  averse_seen = 0;
+    for (int i = 0; i < 20000; ++i) {
+        std::uint32_t set = rng.nextBounded(kSets);
+        std::uint32_t k = rng.nextBounded(static_cast<std::uint32_t>(
+            pcs.size()));
+        Addr line = k < 3 ? rng.nextBounded(4) : 4 + rng.nextBounded(60);
+        MemAccess a;
+        a.pc = pcs[k];
+        a.paddr = (line * kSets + set) << kLineShift;
+        a.isPrefetch = rng.nextBounded(10) == 0;
+        p.onAccess(set, a, false);
+
+        if (set % 2 == 0 && !a.isPrefetch) {
+            RefSet &rs = sets[set];
+            std::uint64_t now = rs.occupancy.size();
+            rs.occupancy.push_back(0);
+            auto it = rs.last.find(line);
+            if (it != rs.last.end()) {
+                std::uint64_t prev = it->second.time;
+                bool hit = now - prev < window;
+                for (std::uint64_t t = prev; hit && t < now; ++t)
+                    hit = rs.occupancy[t] < kWays;
+                if (hit) {
+                    for (std::uint64_t t = prev; t < now; ++t)
+                        ++rs.occupancy[t];
+                    ++opt_hits;
+                }
+                train(it->second.pc, hit);
+                it->second = {now, a.pc};
+            } else {
+                rs.last[line] = {now, a.pc};
+                if (rs.last.size() > window) {
+                    auto stalest = std::min_element(
+                        rs.last.begin(), rs.last.end(),
+                        [](const auto &x, const auto &y) {
+                            return x.second.time < y.second.time;
+                        });
+                    train(stalest->second.pc, false);
+                    rs.last.erase(stalest);
+                    ++evictions;
+                }
+            }
+        }
+        for (Addr pc : pcs) {
+            bool expect = counter[pc] > 3;
+            ASSERT_EQ(p.isFriendly(pc), expect)
+                << "access " << i << ", pc " << std::hex << pc;
+            ++(expect ? friendly_seen : averse_seen);
+        }
+    }
+    // The trace exercised every rule.
+    EXPECT_GT(opt_hits, 1000u);
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(friendly_seen, 1000u);
+    EXPECT_GT(averse_seen, 1000u);
+}
 
 TEST(Hawkeye, LearnsFriendlyPc)
 {
@@ -224,6 +430,13 @@ TEST(Hawkeye, AverseLinesEvictFirst)
     p.onInsert(0, 2, friendly);
     p.onInsert(0, 3, friendly);
     EXPECT_EQ(p.victim(0, friendly), 1u); // the averse line
+}
+
+TEST(Hawkeye, RejectsAssocAbove255)
+{
+    // OPTgen's occupancy counts are bytes.
+    PolicyParams params;
+    EXPECT_DEATH({ HawkeyePolicy p(4, 256, params); }, "associativity");
 }
 
 TEST(Hawkeye, PromoteMakesLineSafe)
