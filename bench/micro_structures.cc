@@ -82,10 +82,7 @@ BM_PolicyChurn(benchmark::State &state, PolicyKind kind)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK_CAPTURE(BM_PolicyChurn, lru, PolicyKind::LRU);
-BENCHMARK_CAPTURE(BM_PolicyChurn, random, PolicyKind::Random);
-BENCHMARK_CAPTURE(BM_PolicyChurn, srrip, PolicyKind::SRRIP);
 BENCHMARK_CAPTURE(BM_PolicyChurn, drrip, PolicyKind::DRRIP);
-BENCHMARK_CAPTURE(BM_PolicyChurn, ship, PolicyKind::SHiP);
 BENCHMARK_CAPTURE(BM_PolicyChurn, hawkeye, PolicyKind::Hawkeye);
 BENCHMARK_CAPTURE(BM_PolicyChurn, mockingjay, PolicyKind::Mockingjay);
 

@@ -30,7 +30,7 @@ main(int argc, char **argv)
     args.addString("workload", "tpcc",
                    "workload name (homogeneous mix)");
     args.addString("policy", "mockingjay",
-                   "lru|random|srrip|drrip|ship|hawkeye|mockingjay");
+                   "lru|drrip|hawkeye|mockingjay");
     args.addFlag("garibaldi", "attach the Garibaldi module");
     args.addFlag("oracle", "instruction-oracle LLC (Fig. 3(d))");
     args.addInt("partition", 0,

@@ -27,6 +27,7 @@ echo "== rejected input (exit 1, no stdout, one error line) =="
 rejected=("fig11_end_to_end --mixes -1"
           "fig14_sensitivity --part z"
           "policy_explorer --threshold-mode bogus"
+          "policy_explorer --policy ship"
           "fig11_end_to_end --instr 0")
 for cmd in "${rejected[@]}"; do
   read -r -a argv <<< "$cmd"

@@ -1,7 +1,7 @@
 /**
  * @file
- * Saturating counter, the workhorse of branch predictors, SHiP/Hawkeye
- * predictors and the Garibaldi pair-table miss-cost and sctr fields.
+ * Saturating counter: the GHB prefetcher's 2-bit confidence and
+ * Hawkeye's 3-bit PC predictor entries.
  */
 
 #ifndef GARIBALDI_COMMON_SAT_COUNTER_HH
@@ -16,7 +16,8 @@ namespace garibaldi
 
 /**
  * An n-bit unsigned saturating counter.  Increments stick at 2^n - 1,
- * decrements stick at 0.
+ * decrements stick at 0.  Two bytes: both fields fit a byte because
+ * n is at most 8.
  */
 class SatCounter
 {
@@ -24,14 +25,15 @@ class SatCounter
     SatCounter() = default;
 
     /**
-     * @param bits counter width in bits (1..16)
+     * @param bits counter width in bits (1..8)
      * @param initial initial value, clamped into range
      */
     explicit SatCounter(unsigned bits, unsigned initial = 0)
-        : maxVal((1u << bits) - 1),
-          val(initial > maxVal ? maxVal : initial)
+        : maxVal(static_cast<std::uint8_t>((1u << bits) - 1)),
+          val(static_cast<std::uint8_t>(initial > maxVal ? maxVal
+                                                         : initial))
     {
-        if (bits == 0 || bits > 16)
+        if (bits == 0 || bits > 8)
             panic("SatCounter width out of range: ", bits);
     }
 
@@ -39,14 +41,15 @@ class SatCounter
     void
     increment(unsigned by = 1)
     {
-        val = (val + by > maxVal) ? maxVal : val + by;
+        val = static_cast<std::uint8_t>(val + by > maxVal ? maxVal
+                                                          : val + by);
     }
 
     /** Saturating decrement. */
     void
     decrement(unsigned by = 1)
     {
-        val = (by > val) ? 0 : val - by;
+        val = static_cast<std::uint8_t>(by > val ? 0 : val - by);
     }
 
     /** Current value. */
@@ -62,16 +65,17 @@ class SatCounter
     void
     set(unsigned v)
     {
-        val = v > maxVal ? maxVal : v;
+        val = static_cast<std::uint8_t>(v > maxVal ? maxVal : v);
     }
 
     /** Reset to zero. */
     void reset() { val = 0; }
 
   private:
-    unsigned maxVal = 1;
-    unsigned val = 0;
+    std::uint8_t maxVal = 1;
+    std::uint8_t val = 0;
 };
+static_assert(sizeof(SatCounter) == 2, "SatCounter must stay two bytes");
 
 } // namespace garibaldi
 

@@ -71,6 +71,7 @@ class HawkeyePolicy final : public PolicyBase
         return lines[std::size_t{set} * assoc + way];
     }
 
+    /** 3-bit counters of 2 bytes each: 16 KiB. */
     std::vector<SatCounter> predictor;
     std::vector<LineState> lines;
     OptGen optgen;

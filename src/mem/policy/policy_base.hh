@@ -19,14 +19,11 @@
 namespace garibaldi
 {
 
-/** Replacement policy selector; also ReplacementPolicy's variant index. */
+/** Replacement policy selector. */
 enum class PolicyKind : std::uint8_t
 {
     LRU = 0,
-    Random,
-    SRRIP,
     DRRIP,
-    SHiP,
     Hawkeye,
     Mockingjay,
 };
@@ -41,20 +38,20 @@ PolicyKind parsePolicyKind(const std::string &name);
 struct PolicyParams
 {
     /**
-     * RRPV / ETR counter width in bits.  3 matches Mockingjay's signed
-     * ETR range ([-4, 3]) and gives SRRIP-family policies an 8-level
-     * RRPV — the width every archived trace and golden was produced
-     * with.  (An earlier comment claimed the paper's Table 3 prescribes
-     * 5; nothing in the methodology we reproduce bears that out, and
-     * the default was never 5.)  Pinned by PolicyParamsDefaultsPinned:
-     * changing it invalidates every policy trace hash.
+     * RRPV / ETR counter width in bits (at most 8).  3 matches
+     * Mockingjay's signed ETR range ([-4, 3]) and gives DRRIP an
+     * 8-level RRPV.  Only unit tests and the PolicyTrace hashes run with
+     * this default: SystemConfig sets 5 bits for the LLC, so every
+     * System, golden and bench runs with 5-bit counters.  Pinned by
+     * PolicyParamsDefaultsPinned: changing it invalidates every policy
+     * trace hash.
      */
     unsigned counterBits = 3;
     /** Sample one of every 2^sampleShift sets for history-based policies. */
     unsigned sampleShift = 3;
     /** History length as a multiple of associativity (paper: 8x). */
     unsigned historyAssocMult = 8;
-    /** Seed for randomized policies. */
+    /** Seed for DRRIP's BRRIP insertion draw. */
     std::uint64_t seed = 1;
 };
 

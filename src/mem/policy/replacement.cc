@@ -11,14 +11,8 @@ policyKindName(PolicyKind kind)
     switch (kind) {
       case PolicyKind::LRU:
         return "lru";
-      case PolicyKind::Random:
-        return "random";
-      case PolicyKind::SRRIP:
-        return "srrip";
       case PolicyKind::DRRIP:
         return "drrip";
-      case PolicyKind::SHiP:
-        return "ship";
       case PolicyKind::Hawkeye:
         return "hawkeye";
       case PolicyKind::Mockingjay:
@@ -33,14 +27,8 @@ parsePolicyKind(const std::string &name)
 {
     if (name == "lru")
         return PolicyKind::LRU;
-    if (name == "random")
-        return PolicyKind::Random;
-    if (name == "srrip")
-        return PolicyKind::SRRIP;
     if (name == "drrip")
         return PolicyKind::DRRIP;
-    if (name == "ship")
-        return PolicyKind::SHiP;
     if (name == "hawkeye")
         return PolicyKind::Hawkeye;
     if (name == "mockingjay")
@@ -56,19 +44,10 @@ makePolicy(PolicyKind kind, std::uint32_t num_sets, std::uint32_t assoc,
       case PolicyKind::LRU:
         return ReplacementPolicy(std::in_place_type<LruPolicy>, num_sets,
                                  assoc);
-      case PolicyKind::Random:
-        return ReplacementPolicy(std::in_place_type<RandomPolicy>,
-                                 num_sets, assoc, params.seed);
-      case PolicyKind::SRRIP:
-        return ReplacementPolicy(std::in_place_type<SrripPolicy>,
-                                 num_sets, assoc, params.counterBits);
       case PolicyKind::DRRIP:
         return ReplacementPolicy(std::in_place_type<DrripPolicy>,
                                  num_sets, assoc, params.counterBits,
                                  params.seed);
-      case PolicyKind::SHiP:
-        return ReplacementPolicy(std::in_place_type<ShipPolicy>, num_sets,
-                                 assoc, params.counterBits);
       case PolicyKind::Hawkeye:
         return ReplacementPolicy(std::in_place_type<HawkeyePolicy>,
                                  num_sets, assoc, params);

@@ -4,7 +4,7 @@
  * its factory.
  *
  * The interface is intentionally richer than gem5's: PC-indexed
- * predictive policies (SHiP, Hawkeye, Mockingjay) observe every access
+ * predictive policies (Hawkeye, Mockingjay) observe every access
  * to train, and the QBS-style promote() hook lets Garibaldi reset a
  * protected victim's eviction priority without the policy knowing why
  * (§4.2 of the paper).
@@ -18,7 +18,6 @@
 #ifndef GARIBALDI_MEM_POLICY_REPLACEMENT_HH
 #define GARIBALDI_MEM_POLICY_REPLACEMENT_HH
 
-#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -26,9 +25,7 @@
 #include "mem/policy/lru.hh"
 #include "mem/policy/mockingjay.hh"
 #include "mem/policy/policy_base.hh"
-#include "mem/policy/random.hh"
 #include "mem/policy/rrip.hh"
-#include "mem/policy/ship.hh"
 
 namespace garibaldi
 {
@@ -48,9 +45,8 @@ namespace garibaldi
 class ReplacementPolicy
 {
   public:
-    /** One alternative per PolicyKind, in PolicyKind order. */
-    using Variant = std::variant<LruPolicy, RandomPolicy, SrripPolicy,
-                                 DrripPolicy, ShipPolicy, HawkeyePolicy,
+    /** One alternative per PolicyKind. */
+    using Variant = std::variant<LruPolicy, DrripPolicy, HawkeyePolicy,
                                  MockingjayPolicy>;
 
     /** Build alternative @p P in place from @p args. */
@@ -105,28 +101,7 @@ class ReplacementPolicy
         std::visit([&](const auto &p) { p.prefetchSet(set); }, impl);
     }
 
-    PolicyKind kind() const { return static_cast<PolicyKind>(impl.index()); }
-
-    /** Policy name for reports. */
-    const char *name() const { return policyKindName(kind()); }
-
   private:
-    template <PolicyKind K, typename P>
-    static constexpr bool kAt = std::is_same_v<
-        std::variant_alternative_t<static_cast<std::size_t>(K), Variant>,
-        P>;
-    static_assert(std::variant_size_v<Variant> ==
-                      static_cast<std::size_t>(PolicyKind::Mockingjay) + 1,
-                  "one alternative per PolicyKind");
-    static_assert(kAt<PolicyKind::LRU, LruPolicy> &&
-                      kAt<PolicyKind::Random, RandomPolicy> &&
-                      kAt<PolicyKind::SRRIP, SrripPolicy> &&
-                      kAt<PolicyKind::DRRIP, DrripPolicy> &&
-                      kAt<PolicyKind::SHiP, ShipPolicy> &&
-                      kAt<PolicyKind::Hawkeye, HawkeyePolicy> &&
-                      kAt<PolicyKind::Mockingjay, MockingjayPolicy>,
-                  "variant index must equal PolicyKind");
-
     Variant impl;
 };
 

@@ -5,61 +5,17 @@
 namespace garibaldi
 {
 
-SrripPolicy::SrripPolicy(std::uint32_t num_sets, std::uint32_t assoc_,
-                         unsigned counter_bits)
+DrripPolicy::DrripPolicy(std::uint32_t num_sets, std::uint32_t assoc_,
+                         unsigned counter_bits, std::uint64_t seed)
     : PolicyBase(num_sets, assoc_),
       maxRrpv((1u << counter_bits) - 1),
       rrpv(std::size_t{num_sets} * assoc_,
-           static_cast<std::uint8_t>((1u << counter_bits) - 1))
+           static_cast<std::uint8_t>(maxRrpv)),
+      rng(seed, 0xd22137),
+      leaderStride(num_sets >= 64 ? num_sets / 32 : 2)
 {
     if (counter_bits < 1 || counter_bits > 8)
         panic("RRIP counter bits out of range: ", counter_bits);
-}
-
-void
-SrripPolicy::onHit(std::uint32_t set, std::uint32_t way, const MemAccess &)
-{
-    at(set, way) = 0;
-}
-
-std::uint32_t
-SrripPolicy::victim(std::uint32_t set, const MemAccess &)
-{
-    // Find the first distant line, aging everyone until one appears.
-    while (true) {
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            if (at(set, w) >= maxRrpv)
-                return w;
-        for (std::uint32_t w = 0; w < assoc; ++w)
-            ++at(set, w);
-    }
-}
-
-void
-SrripPolicy::insertWith(std::uint32_t set, std::uint32_t way,
-                        unsigned value)
-{
-    at(set, way) = static_cast<std::uint8_t>(value);
-}
-
-void
-SrripPolicy::onInsert(std::uint32_t set, std::uint32_t way,
-                      const MemAccess &)
-{
-    insertWith(set, way, maxRrpv - 1); // "long" re-reference interval
-}
-
-void
-SrripPolicy::promote(std::uint32_t set, std::uint32_t way)
-{
-    at(set, way) = 0;
-}
-
-DrripPolicy::DrripPolicy(std::uint32_t num_sets, std::uint32_t assoc_,
-                         unsigned counter_bits, std::uint64_t seed)
-    : SrripPolicy(num_sets, assoc_, counter_bits), rng(seed, 0xd22137),
-      leaderStride(num_sets >= 64 ? num_sets / 32 : 2)
-{
 }
 
 DrripPolicy::SetRole
@@ -95,6 +51,25 @@ DrripPolicy::onAccess(std::uint32_t set, const MemAccess &, bool hit)
 }
 
 void
+DrripPolicy::onHit(std::uint32_t set, std::uint32_t way, const MemAccess &)
+{
+    at(set, way) = 0;
+}
+
+std::uint32_t
+DrripPolicy::victim(std::uint32_t set, const MemAccess &)
+{
+    // Find the first distant line, aging everyone until one appears.
+    while (true) {
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            if (at(set, w) >= maxRrpv)
+                return w;
+        for (std::uint32_t w = 0; w < assoc; ++w)
+            ++at(set, w);
+    }
+}
+
+void
 DrripPolicy::onInsert(std::uint32_t set, std::uint32_t way,
                       const MemAccess &)
 {
@@ -110,13 +85,18 @@ DrripPolicy::onInsert(std::uint32_t set, std::uint32_t way,
         use_brrip = psel >= 0;
         break;
     }
-    if (use_brrip) {
-        // BRRIP: distant mostly, long with 1/32 probability.
-        unsigned v = rng.nextBounded(32) == 0 ? maxRrpv - 1 : maxRrpv;
-        insertWith(set, way, v);
-    } else {
-        insertWith(set, way, maxRrpv - 1);
-    }
+    // SRRIP inserts "long" (max-1); BRRIP inserts distant mostly, long
+    // with 1/32 probability.
+    unsigned v = maxRrpv - 1;
+    if (use_brrip && rng.nextBounded(32) != 0)
+        v = maxRrpv;
+    at(set, way) = static_cast<std::uint8_t>(v);
+}
+
+void
+DrripPolicy::promote(std::uint32_t set, std::uint32_t way)
+{
+    at(set, way) = 0;
 }
 
 } // namespace garibaldi

@@ -1,7 +1,7 @@
 /**
  * @file
- * Re-Reference Interval Prediction policies (Jaleel et al., ISCA'10):
- * SRRIP (static) and DRRIP (set-dueling between SRRIP and BRRIP).
+ * DRRIP (Jaleel et al., ISCA'10): Re-Reference Interval Prediction
+ * with set-dueling between SRRIP and BRRIP insertion.
  */
 
 #ifndef GARIBALDI_MEM_POLICY_RRIP_HH
@@ -16,16 +16,19 @@ namespace garibaldi
 {
 
 /**
- * SRRIP-HP: insert with "long" re-reference prediction (max-1), promote
- * to "near-immediate" (0) on hit, evict the first "distant" (max) line,
- * aging the whole set when none is distant.
+ * DRRIP: promote to "near-immediate" (0) on hit, evict the first
+ * "distant" (max) line, aging the whole set when none is distant.
+ * Dedicated leader sets insert SRRIP-style ("long", max-1) and
+ * BRRIP-style (distant, long 1 in 32); a PSEL counter picks the
+ * winning insertion for follower sets.
  */
-class SrripPolicy : public PolicyBase
+class DrripPolicy final : public PolicyBase
 {
   public:
-    SrripPolicy(std::uint32_t num_sets, std::uint32_t assoc,
-                unsigned counter_bits);
+    DrripPolicy(std::uint32_t num_sets, std::uint32_t assoc,
+                unsigned counter_bits, std::uint64_t seed);
 
+    void onAccess(std::uint32_t set, const MemAccess &acc, bool hit);
     void onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
     std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
     void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
@@ -38,33 +41,6 @@ class SrripPolicy : public PolicyBase
         return rrpv[std::size_t{set} * assoc + way];
     }
 
-  protected:
-    std::uint8_t &at(std::uint32_t set, std::uint32_t way)
-    {
-        return rrpv[std::size_t{set} * assoc + way];
-    }
-
-    /** Insert with a specific RRPV (used by DRRIP's BRRIP mode). */
-    void insertWith(std::uint32_t set, std::uint32_t way, unsigned value);
-
-    unsigned maxRrpv;
-    /** One byte per frame: an RRPV is at most maxRrpv <= 255. */
-    std::vector<std::uint8_t> rrpv;
-};
-
-/**
- * DRRIP: dedicated leader sets run SRRIP and BRRIP; a PSEL counter
- * picks the winning insertion policy for follower sets.
- */
-class DrripPolicy final : public SrripPolicy
-{
-  public:
-    DrripPolicy(std::uint32_t num_sets, std::uint32_t assoc,
-                unsigned counter_bits, std::uint64_t seed);
-
-    void onAccess(std::uint32_t set, const MemAccess &acc, bool hit);
-    void onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc);
-
     /** Current PSEL value, exposed for the dueling convergence test. */
     int pselValue() const { return psel; }
 
@@ -74,6 +50,14 @@ class DrripPolicy final : public SrripPolicy
 
     SetRole roleOf(std::uint32_t set) const;
 
+    std::uint8_t &at(std::uint32_t set, std::uint32_t way)
+    {
+        return rrpv[std::size_t{set} * assoc + way];
+    }
+
+    unsigned maxRrpv;
+    /** One byte per frame: an RRPV is at most maxRrpv <= 255. */
+    std::vector<std::uint8_t> rrpv;
     Pcg32 rng;
     int psel = 0;
     int pselMax = 511;

@@ -198,6 +198,15 @@ TEST(SatCounter, ClampedConstruction)
     EXPECT_EQ(c.value(), 3u);
 }
 
+TEST(SatCounter, EightBitsIsTheWidest)
+{
+    SatCounter c(8, 300);
+    EXPECT_EQ(c.value(), 255u);
+    c.increment(10);
+    EXPECT_EQ(c.value(), 255u);
+    EXPECT_DEATH({ SatCounter wide(9); }, "SatCounter width out of range");
+}
+
 TEST(Histogram, MeanAndPercentiles)
 {
     Histogram h(1, 100);

@@ -1,10 +1,10 @@
 /**
  * @file
- * Replacement-policy tests: exact LRU behavior, SRRIP/DRRIP semantics,
- * SHiP training, plus parameterized invariants that every policy must
- * satisfy (victims in range, promote shields from the immediate
- * re-selection, factory round-trips), and the byte recency stamps
- * against global ticks.
+ * Replacement-policy tests: exact LRU behavior, DRRIP's RRPV and
+ * set-dueling semantics, plus parameterized invariants that every
+ * policy must satisfy (victims in range, promote shields from the
+ * immediate re-selection, factory round-trips), and the byte recency
+ * stamps against global ticks.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "mem/policy/recency_stamps.hh"
 #include "mem/policy/replacement.hh"
 #include "mem/policy/rrip.hh"
-#include "mem/policy/ship.hh"
 
 namespace garibaldi
 {
@@ -33,15 +32,9 @@ pcAccess(Addr pc, Addr paddr = 0x1000)
 
 TEST(PolicyFactory, NamesRoundTrip)
 {
-    for (PolicyKind k :
-         {PolicyKind::LRU, PolicyKind::Random, PolicyKind::SRRIP,
-          PolicyKind::DRRIP, PolicyKind::SHiP, PolicyKind::Hawkeye,
-          PolicyKind::Mockingjay}) {
+    for (PolicyKind k : {PolicyKind::LRU, PolicyKind::DRRIP,
+                         PolicyKind::Hawkeye, PolicyKind::Mockingjay})
         EXPECT_EQ(parsePolicyKind(policyKindName(k)), k);
-        ReplacementPolicy p = makePolicy(k, 64, 8);
-        EXPECT_EQ(p.kind(), k);
-        EXPECT_STREQ(p.name(), policyKindName(k));
-    }
 }
 
 TEST(Lru, VictimIsLeastRecent)
@@ -67,9 +60,11 @@ TEST(Lru, PromoteShieldsLine)
     EXPECT_EQ(p.victim(0, a), 1u);
 }
 
-TEST(Srrip, InsertLongHitNear)
+// Set 0 is an SRRIP leader at every small set count (stride 2), so
+// the SRRIP tests below run on it.
+TEST(Drrip, InsertLongHitNear)
 {
-    SrripPolicy p(4, 4, 3); // max rrpv 7
+    DrripPolicy p(4, 4, 3, 1); // max rrpv 7
     MemAccess a = pcAccess(0);
     p.onInsert(0, 0, a);
     EXPECT_EQ(p.rrpvOf(0, 0), 6u); // long = max-1
@@ -77,9 +72,9 @@ TEST(Srrip, InsertLongHitNear)
     EXPECT_EQ(p.rrpvOf(0, 0), 0u); // near-immediate
 }
 
-TEST(Srrip, VictimAgesSetUntilDistantFound)
+TEST(Drrip, VictimAgesSetUntilDistantFound)
 {
-    SrripPolicy p(1, 2, 2); // max rrpv 3
+    DrripPolicy p(1, 2, 2, 1); // max rrpv 3
     MemAccess a = pcAccess(0);
     p.onInsert(0, 0, a);
     p.onInsert(0, 1, a);
@@ -92,9 +87,9 @@ TEST(Srrip, VictimAgesSetUntilDistantFound)
     EXPECT_EQ(p.rrpvOf(0, 1), 3u);
 }
 
-TEST(Srrip, PromoteResetsRrpv)
+TEST(Drrip, PromoteResetsRrpv)
 {
-    SrripPolicy p(1, 2, 3);
+    DrripPolicy p(1, 2, 3, 1);
     MemAccess a = pcAccess(0);
     p.onInsert(0, 0, a);
     p.promote(0, 0);
@@ -126,38 +121,51 @@ TEST(Drrip, HitsDoNotMovePsel)
     EXPECT_EQ(p.pselValue(), before);
 }
 
-TEST(Ship, TrainsOnReuseAndDecaysOnDeadLines)
+/** Fill (set, 0) @p n times; count the fills that went in "long". */
+int
+longInserts(DrripPolicy &p, std::uint32_t set, int n)
 {
-    ShipPolicy p(4, 4, 3);
-    Addr reused_pc = 0x100, dead_pc = 0x200;
-    unsigned before_reused = p.shctOf(reused_pc);
-    unsigned before_dead = p.shctOf(dead_pc);
-    // PC 0x100's lines get reused: counter rises.
-    for (int i = 0; i < 6; ++i) {
-        p.onInsert(0, 0, pcAccess(reused_pc));
-        p.onHit(0, 0, pcAccess(reused_pc));
-        p.onEvict(0, 0);
+    MemAccess a = pcAccess(0);
+    int long_fills = 0;
+    for (int i = 0; i < n; ++i) {
+        p.onInsert(set, 0, a);
+        unsigned v = p.rrpvOf(set, 0);
+        EXPECT_TRUE(v == 6u || v == 7u) << "rrpv " << v;
+        long_fills += v == 6u;
     }
-    // PC 0x200's lines die without reuse: counter falls.
-    for (int i = 0; i < 6; ++i) {
-        p.onInsert(0, 1, pcAccess(dead_pc));
-        p.onEvict(0, 1);
-    }
-    EXPECT_GT(p.shctOf(reused_pc), before_reused);
-    EXPECT_LT(p.shctOf(dead_pc), before_dead);
+    return long_fills;
 }
 
-TEST(Ship, DeadPcInsertsDistant)
+TEST(Drrip, BrripLeaderInsertsDistantMostly)
 {
-    ShipPolicy p(4, 4, 3);
-    Addr dead_pc = 0x200;
-    for (int i = 0; i < 8; ++i) {
-        p.onInsert(0, 1, pcAccess(dead_pc));
-        p.onEvict(0, 1);
-    }
-    ASSERT_EQ(p.shctOf(dead_pc), 0u);
-    p.onInsert(0, 1, pcAccess(dead_pc));
-    EXPECT_EQ(p.rrpvOf(0, 1), 7u); // distant
+    // 128 sets: stride 4, so set 0 leads SRRIP, set 2 leads BRRIP and
+    // sets 1 and 3 follow PSEL.
+    DrripPolicy p(128, 4, 3, 1); // max rrpv 7
+    MemAccess a = pcAccess(0);
+
+    // BRRIP leader: distant except about 1 in 32 fills.
+    int leader_long = longInserts(p, 2, 3200);
+    EXPECT_GT(leader_long, 50);
+    EXPECT_LT(leader_long, 150);
+
+    // PSEL starts at 0: followers insert BRRIP-style.
+    ASSERT_EQ(p.pselValue(), 0);
+    int follower_long = longInserts(p, 1, 320);
+    EXPECT_GT(follower_long, 0);
+    EXPECT_LT(follower_long, 30);
+
+    // A BRRIP-leader miss makes PSEL negative: followers go SRRIP-style.
+    p.onAccess(2, a, /*hit=*/false);
+    ASSERT_LT(p.pselValue(), 0);
+    EXPECT_EQ(longInserts(p, 1, 320), 320);
+    EXPECT_EQ(longInserts(p, 3, 320), 320);
+
+    // An SRRIP-leader miss brings PSEL back to 0: BRRIP-style again.
+    p.onAccess(0, a, /*hit=*/false);
+    ASSERT_EQ(p.pselValue(), 0);
+    follower_long = longInserts(p, 3, 320);
+    EXPECT_GT(follower_long, 0);
+    EXPECT_LT(follower_long, 30);
 }
 
 // ---------------------------------------------------------------------
@@ -215,10 +223,8 @@ TEST_P(PolicyInvariantTest, EvictThenReinsertIsStable)
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, PolicyInvariantTest,
-    ::testing::Values(PolicyKind::LRU, PolicyKind::Random,
-                      PolicyKind::SRRIP, PolicyKind::DRRIP,
-                      PolicyKind::SHiP, PolicyKind::Hawkeye,
-                      PolicyKind::Mockingjay),
+    ::testing::Values(PolicyKind::LRU, PolicyKind::DRRIP,
+                      PolicyKind::Hawkeye, PolicyKind::Mockingjay),
     [](const ::testing::TestParamInfo<PolicyKind> &pinfo) {
         return std::string(policyKindName(pinfo.param));
     });

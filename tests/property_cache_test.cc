@@ -164,10 +164,8 @@ TEST_P(CachePropertyTest, DirtyOnlyIfWritten)
 
 INSTANTIATE_TEST_SUITE_P(
     AllPolicies, CachePropertyTest,
-    ::testing::Values(PolicyKind::LRU, PolicyKind::Random,
-                      PolicyKind::SRRIP, PolicyKind::DRRIP,
-                      PolicyKind::SHiP, PolicyKind::Hawkeye,
-                      PolicyKind::Mockingjay),
+    ::testing::Values(PolicyKind::LRU, PolicyKind::DRRIP,
+                      PolicyKind::Hawkeye, PolicyKind::Mockingjay),
     [](const ::testing::TestParamInfo<PolicyKind> &pinfo) {
         return std::string(policyKindName(pinfo.param));
     });
