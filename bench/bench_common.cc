@@ -11,25 +11,25 @@ namespace garibaldi
 {
 
 void
-BenchArgs::addTo(ArgParser &args)
+BenchArgs::addTo(ArgParser &args, bool sweep)
 {
     args.addInt("cores", 8, "simulated cores");
     args.addInt("warmup", 150000, "warmup instructions per core");
     args.addInt("instr", 300000, "measured instructions per core");
     args.addInt("seed", 1, "master seed");
-    args.addInt("llc-banks", 1,
-                "LLC bank count (power of two; 1 = monolithic)");
-    args.addInt("jobs", 0,
-                "parallel sweep worker threads (0 = all hardware "
-                "threads); results are identical for any value");
     audit::addAuditArg(args);
     args.addFlag("full", "full workload set / paper-scale sweep");
     args.addFlag("csv", "emit CSV instead of aligned text");
-    args.addFlag("progress", "per-job sweep progress on stderr");
+    if (sweep) {
+        args.addInt("jobs", 0,
+                    "parallel sweep worker threads (0 = all hardware "
+                    "threads); results are identical for any value");
+        args.addFlag("progress", "per-job sweep progress on stderr");
+    }
 }
 
 BenchArgs
-BenchArgs::from(const ArgParser &args)
+BenchArgs::from(const ArgParser &args, bool sweep)
 {
     BenchArgs b;
     b.cores = static_cast<std::uint32_t>(args.getUnsigned("cores"));
@@ -41,12 +41,13 @@ BenchArgs::from(const ArgParser &args)
         fatal("--instr must be non-zero: the measured window is what "
               "every reported number comes from");
     b.seed = static_cast<std::uint64_t>(args.getInt("seed"));
-    b.llcBanks = static_cast<std::uint32_t>(args.getUnsigned("llc-banks"));
-    b.jobs = static_cast<std::uint32_t>(args.getUnsigned("jobs"));
     audit::applyAuditArg(args);
     b.full = args.getFlag("full");
     b.csv = args.getFlag("csv");
-    b.progress = args.getFlag("progress");
+    if (sweep) {
+        b.jobs = static_cast<std::uint32_t>(args.getUnsigned("jobs"));
+        b.progress = args.getFlag("progress");
+    }
     return b;
 }
 
@@ -55,7 +56,6 @@ BenchArgs::config() const
 {
     SystemConfig cfg = defaultConfig(cores);
     cfg.seed = seed;
-    cfg.llcBanks = llcBanks;
     return cfg;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared scaffolding for the figure/table reproduction benches: common
- * CLI flags (cores, window sizes, --jobs, --full, --csv), representative
- * workload subsets for the sweep figures, and header printing.
+ * CLI flags (cores, window sizes, --full, --csv, and --jobs/--progress
+ * for the sweep benches), representative workload subsets for the
+ * sweep figures, and header printing.
  */
 
 #ifndef GARIBALDI_BENCH_BENCH_COMMON_HH
@@ -27,17 +28,19 @@ struct BenchArgs
     std::uint64_t warmup = 100000;
     std::uint64_t detailed = 200000;
     std::uint64_t seed = 1;
-    std::uint32_t llcBanks = 1;
     std::uint32_t jobs = 0; //!< sweep workers; 0 = hardware threads
     bool full = false;
     bool csv = false;
     bool progress = false;
 
-    /** Register the common flags on @p args. */
-    static void addTo(ArgParser &args);
+    /**
+     * Register the common flags on @p args.  @p sweep adds --jobs and
+     * --progress, which only a bench that runs a SweepRunner reads.
+     */
+    static void addTo(ArgParser &args, bool sweep = true);
 
-    /** Extract the common flags after parsing. */
-    static BenchArgs from(const ArgParser &args);
+    /** Extract the common flags after parsing (same @p sweep). */
+    static BenchArgs from(const ArgParser &args, bool sweep = true);
 
     /** Base machine configuration for these settings. */
     SystemConfig config() const;

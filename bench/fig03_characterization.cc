@@ -35,7 +35,6 @@ characterize(const BenchArgs &args, const std::string &workload,
 {
     SystemConfig cfg = defaultConfig(cores);
     cfg.seed = args.seed;
-    cfg.llcBanks = args.llcBanks;
     System sys(cfg, homogeneousMix(workload, cores));
     ReuseDistanceMonitor reuse(sys.hierarchy().llc().totalSets(), 3);
     LineFrequencyMonitor freq;
@@ -54,9 +53,9 @@ main(int argc, char **argv)
 {
     ArgParser args("Fig. 3: reuse distances, access ratios, per-line "
                    "frequency, oracle potential");
-    BenchArgs::addTo(args);
+    BenchArgs::addTo(args, /*sweep=*/false);
     args.parse(argc, argv);
-    BenchArgs b = BenchArgs::from(args);
+    BenchArgs b = BenchArgs::from(args, /*sweep=*/false);
 
     printBenchHeader("Figure 3(a,b,c)",
                      "LLC reuse distance and access-pattern "

@@ -23,9 +23,9 @@ main(int argc, char **argv)
 {
     ArgParser args("Fig. 4(c): instruction miss rate by paired-data "
                    "hotness");
-    BenchArgs::addTo(args);
+    BenchArgs::addTo(args, /*sweep=*/false);
     args.parse(argc, argv);
-    BenchArgs b = BenchArgs::from(args);
+    BenchArgs b = BenchArgs::from(args, /*sweep=*/false);
 
     printBenchHeader("Figure 4(c)",
                      "MissRate(I | data hot) vs MissRate(I | data "

@@ -153,7 +153,6 @@ main(int argc, char **argv)
             SystemConfig cfg = configWithPolicy(
                 b.config(), PolicyKind::Mockingjay, false);
             cfg.llcInstrPartitionWays = ways;
-            cfg.llcPartitionCriticalOnly = ways > 0;
             vs.push_back(configValue(std::to_string(ways) + "-way", cfg));
         }
         vs.push_back(configValue("garibaldi", mjGaribaldi(b.config())));

@@ -33,9 +33,9 @@ int
 main(int argc, char **argv)
 {
     ArgParser args("Table 2: Garibaldi storage overheads");
-    BenchArgs::addTo(args);
+    BenchArgs::addTo(args, /*sweep=*/false);
     args.parse(argc, argv);
-    BenchArgs b = BenchArgs::from(args);
+    BenchArgs b = BenchArgs::from(args, /*sweep=*/false);
 
     printBenchHeader("Table 2", "storage overhead of the Garibaldi "
                                 "structures",

@@ -34,7 +34,8 @@ main(int argc, char **argv)
     args.addFlag("garibaldi", "attach the Garibaldi module");
     args.addFlag("oracle", "instruction-oracle LLC (Fig. 3(d))");
     args.addInt("partition", 0,
-                "LLC ways reserved for instructions (Fig. 14(d))");
+                "LLC ways reserved for criticality-marked instruction "
+                "lines (Fig. 14(d))");
     args.addString("threshold-mode", "dynamic",
                    "dynamic|fixed|all (Fig. 14(b))");
     args.addInt("threshold-delta", 0, "fixed-mode delta from init 32");

@@ -28,7 +28,9 @@ rejected=("fig11_end_to_end --mixes -1"
           "fig14_sensitivity --part z"
           "policy_explorer --threshold-mode bogus"
           "policy_explorer --policy ship"
-          "fig11_end_to_end --instr 0")
+          "fig11_end_to_end --instr 0"
+          "fig11_end_to_end --llc-banks 4"
+          "fig04_access_patterns --jobs 2")
 for cmd in "${rejected[@]}"; do
   read -r -a argv <<< "$cmd"
   status=0
@@ -167,11 +169,14 @@ echo "bank_sensitivity --dram-timing: --jobs 1 vs --jobs 8 byte-identical"
 # the cache's own LRU stamps (pickPartitionVictim).  fig12 runs DRRIP,
 # Hawkeye and Mockingjay; fig17 runs 6- to 48-way LRU and Mockingjay
 # LLCs.  hawkeye_long is the one golden long enough for Hawkeye's
-# sampled sets to overflow their history window.
+# sampled sets to overflow their history window.  table2 is the storage
+# arithmetic over the Table 2 constants; fig01 (CPI stacks at 1 and 8
+# cores) and fig13 (ifetch stalls and energy) are diffed at --jobs 1
+# and 8 like fig11.
 echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/quickstart" --warmup 20000 --instr 50000 \
     > "$build/golden_quickstart.txt"
-"$build/fig04_access_patterns" --warmup 10000 --instr 20000 --jobs 1 \
+"$build/fig04_access_patterns" --warmup 10000 --instr 20000 \
     > "$build/golden_fig04.txt"
 "$build/fig11_end_to_end" --warmup 10000 --instr 20000 --mixes 2 \
     --jobs 1 > "$build/golden_fig11.txt"
@@ -188,9 +193,16 @@ echo "== obs: knobs-off byte-identity vs goldens =="
 "$build/policy_explorer" --cores 2 --policy hawkeye --garibaldi \
     --workload tpcc --warmup 400000 --instr 400000 \
     > "$build/golden_hawkeye_long.txt"
+"$build/table2_storage" > "$build/golden_table2.txt"
+for j in 1 8; do
+  "$build/fig01_cpi_stack" --warmup 10000 --instr 20000 --jobs "$j" \
+      > "$build/golden_fig01_j$j.txt"
+  "$build/fig13_ifetch_energy" --warmup 10000 --instr 20000 --jobs "$j" \
+      > "$build/golden_fig13_j$j.txt"
+done
 for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d fig12 fig17 \
-    hawkeye_long; do
-  g="${out%_j8}"
+    hawkeye_long table2 fig01_j1 fig01_j8 fig13_j1 fig13_j8; do
+  g="${out%_j[18]}"
   if ! diff -q "$repo/scripts/goldens/$g.txt" "$build/golden_$out.txt" \
       > /dev/null; then
     echo "FAIL: $out output drifted from scripts/goldens/$g.txt with obs off"
@@ -198,7 +210,7 @@ for out in quickstart fig04 fig11 fig11_j8 fig03 fig14d fig12 fig17 \
     exit 1
   fi
 done
-echo "quickstart/fig04/fig11 (--jobs 1 and 8)/fig03/fig14d/fig12/fig17/hawkeye_long: byte-identical to goldens with obs off"
+echo "quickstart/fig04/fig11, fig01, fig13 (--jobs 1 and 8)/fig03/fig14d/fig12/fig17/hawkeye_long/table2: byte-identical to goldens with obs off"
 
 # Audit mode is a pure checker: enabling --audit must not perturb a
 # single output byte on a healthy run.

@@ -33,9 +33,6 @@ class PageTable
     /** Frame number backing @p vpn (allocates on demand). */
     Addr frameOf(Addr vpn);
 
-    /** Pages allocated so far. */
-    std::uint64_t allocatedPages() const { return nextIndex; }
-
   private:
     /** Frames per 4 GB core zone. */
     static constexpr std::uint64_t kZoneFrames =

@@ -25,7 +25,8 @@ Tlb::Tlb(std::uint32_t entries, std::uint32_t assoc_)
               assoc_);
     numSets = entries / assoc_;
     pow2Sets = isPowerOf2(numSets);
-    entriesArr = makeZeroedArray<Entry>(entries);
+    vpns = makeZeroedArray<Addr>(entries);
+    stamps = RecencyStamps(numSets, assoc);
 }
 
 std::uint32_t
@@ -40,40 +41,19 @@ bool
 Tlb::access(Addr vpn)
 {
     std::uint32_t set = setOf(vpn);
-    Entry *base = &entriesArr[std::size_t{set} * assoc];
+    Addr *row = &vpns[std::size_t{set} * assoc];
     for (std::uint32_t w = 0; w < assoc; ++w) {
-        Entry &e = base[w];
-        if (e.valid && e.vpn == vpn) {
-            e.lastUse = ++tick;
+        if (row[w] == vpn && stamps.stamp(set, w) != 0) {
+            stamps.touch(set, w);
             ++nHits;
             return true;
         }
     }
     // Victim: first invalid way, else the oldest.
-    Entry *lru = base;
-    for (std::uint32_t w = 0; w < assoc; ++w) {
-        if (!base[w].valid) {
-            lru = &base[w];
-            break;
-        }
-        if (base[w].lastUse < lru->lastUse)
-            lru = &base[w];
-    }
-    lru->vpn = vpn;
-    lru->valid = true;
-    lru->lastUse = ++tick;
+    std::uint32_t victim = stamps.oldest(set, 0, assoc);
+    row[victim] = vpn;
+    stamps.touch(set, victim);
     ++nMisses;
-    return false;
-}
-
-bool
-Tlb::probe(Addr vpn) const
-{
-    std::uint32_t set = setOf(vpn);
-    const Entry *base = &entriesArr[std::size_t{set} * assoc];
-    for (std::uint32_t w = 0; w < assoc; ++w)
-        if (base[w].valid && base[w].vpn == vpn)
-            return true;
     return false;
 }
 

@@ -13,44 +13,40 @@
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "common/zeroed_array.hh"
+#include "mem/policy/recency_stamps.hh"
 
 namespace garibaldi
 {
 
-/** Fully-associative-by-set LRU TLB. */
+/**
+ * Set-associative LRU TLB.  A way's recency stamp doubles as its valid
+ * bit: 0 means never filled, so the oldest way of a set is its first
+ * invalid way when it has one, else its least recently used.
+ */
 class Tlb
 {
   public:
     /**
      * @param entries total entries
-     * @param assoc associativity (entries must divide evenly)
+     * @param assoc associativity (entries must divide evenly; at
+     *        most RecencyStamps::kMaxAssoc)
      */
     Tlb(std::uint32_t entries, std::uint32_t assoc);
 
     /** Probe and update LRU; inserts on miss. @return hit. */
     bool access(Addr vpn);
 
-    /** Probe without insertion or LRU update. */
-    bool probe(Addr vpn) const;
-
     std::uint64_t hits() const { return nHits; }
     std::uint64_t misses() const { return nMisses; }
 
   private:
-    struct Entry
-    {
-        Addr vpn = 0;
-        Tick lastUse = 0;
-        bool valid = false;
-    };
-
     std::uint32_t setOf(Addr vpn) const;
 
     std::uint32_t numSets;
     bool pow2Sets;   //!< setOf() may mask instead of dividing
     std::uint32_t assoc;
-    ZeroedArray<Entry> entriesArr; //!< all-zero = invalid
-    Tick tick = 0;
+    ZeroedArray<Addr> vpns; //!< per set, one row of assoc ways
+    RecencyStamps stamps;   //!< 0 = invalid way
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;
 };

@@ -3,6 +3,7 @@
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
+#include "garibaldi/params.hh"
 
 namespace garibaldi
 {
@@ -12,10 +13,7 @@ SIM_STATS(DppnTable,
     SIM_STAT("replacements", counter),
     SIM_STAT("rejected", counter));
 
-DppnTable::DppnTable(std::uint32_t entries, unsigned sctr_bits,
-                     unsigned replace_threshold)
-    : table(entries), sctrMax((1u << sctr_bits) - 1),
-      replaceBelow(replace_threshold)
+DppnTable::DppnTable(std::uint32_t entries) : table(entries)
 {
     checkPowerOf2(entries, "D_PPN table entries");
 }
@@ -34,12 +32,12 @@ DppnTable::allocate(Addr dppn)
     Entry &e = table[idx];
     if (!e.valid) {
         e.dppn = dppn;
-        e.sctr = replaceBelow;
+        e.sctr = kSctrReplaceThreshold;
         e.valid = true;
         return idx;
     }
     if (e.dppn == dppn) {
-        if (e.sctr < sctrMax)
+        if (e.sctr < kSctrMax)
             ++e.sctr;
         ++nHits;
         return idx;
@@ -48,9 +46,9 @@ DppnTable::allocate(Addr dppn)
     // below the threshold.
     if (e.sctr > 0)
         --e.sctr;
-    if (e.sctr < replaceBelow) {
+    if (e.sctr < kSctrReplaceThreshold) {
         e.dppn = dppn;
-        e.sctr = replaceBelow;
+        e.sctr = kSctrReplaceThreshold;
         ++nReplacements;
         return idx;
     }

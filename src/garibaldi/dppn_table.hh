@@ -25,11 +25,8 @@ class DppnTable
   public:
     /**
      * @param entries table entries (power of two; Table 2: 8192)
-     * @param sctr_bits replacement counter width (Table 2: 3)
-     * @param replace_threshold replace when sctr falls below this
      */
-    DppnTable(std::uint32_t entries, unsigned sctr_bits = 3,
-              unsigned replace_threshold = 4);
+    explicit DppnTable(std::uint32_t entries);
 
     /**
      * Ensure @p dppn is present at its slot.
@@ -62,8 +59,6 @@ class DppnTable
     };
 
     std::vector<Entry> table;
-    unsigned sctrMax;
-    unsigned replaceBelow;
     std::uint64_t nHits = 0;
     std::uint64_t nReplacements = 0;
     std::uint64_t nRejected = 0;

@@ -21,14 +21,13 @@ SIM_STATS(Garibaldi,
 Garibaldi::Garibaldi(const GaribaldiParams &params_,
                      std::uint32_t num_cores)
     : params(params_),
-      dppn(params_.dppnEntries, params_.sctrBits,
-           params_.sctrReplaceThreshold),
+      dppn(params_.dppnEntries),
       pairs(params_, dppn),
       thresh(params_, num_cores)
 {
     for (std::uint32_t c = 0; c < num_cores; ++c)
         helpers.push_back(std::make_unique<HelperTable>(
-            params.helperEntries, params.helperAssoc, params.sctrBits));
+            kHelperEntries, kHelperAssoc));
 }
 
 void
@@ -139,7 +138,7 @@ Garibaldi::maxProtectAttempts() const
 Cycle
 Garibaldi::queryCost() const
 {
-    return params.qbsLookupCost;
+    return kQbsLookupCost;
 }
 
 StatSet

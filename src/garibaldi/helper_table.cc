@@ -3,6 +3,7 @@
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
+#include "garibaldi/params.hh"
 
 namespace garibaldi
 {
@@ -13,9 +14,8 @@ SIM_STATS(HelperTable,
     SIM_STAT("misses", counter),
     SIM_STAT("coverage", rate("hits", "hits+misses")));
 
-HelperTable::HelperTable(std::uint32_t entries, std::uint32_t assoc_,
-                         unsigned sctr_bits)
-    : assoc(assoc_), sctrMax((1u << sctr_bits) - 1)
+HelperTable::HelperTable(std::uint32_t entries, std::uint32_t assoc_)
+    : assoc(assoc_)
 {
     if (entries == 0 || assoc_ == 0 || entries % assoc_ != 0)
         fatal("helper table geometry invalid: ", entries, "/", assoc_);
@@ -45,7 +45,7 @@ HelperTable::record(Addr pc_vpn, Addr instr_ppn)
     ++nRecords;
     if (Entry *e = findEntry(pc_vpn)) {
         e->ppn = instr_ppn;
-        if (e->sctr < sctrMax)
+        if (e->sctr < kSctrMax)
             ++e->sctr;
         return;
     }
@@ -75,7 +75,7 @@ std::optional<Addr>
 HelperTable::lookup(Addr pc_vpn)
 {
     if (Entry *e = findEntry(pc_vpn)) {
-        if (e->sctr < sctrMax)
+        if (e->sctr < kSctrMax)
             ++e->sctr;
         ++nHits;
         return e->ppn;

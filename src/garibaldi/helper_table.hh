@@ -27,10 +27,8 @@ class HelperTable
     /**
      * @param entries total entries (Table 2: 128)
      * @param assoc associativity (Table 2: 4)
-     * @param sctr_bits width of the per-entry replacement counter
      */
-    HelperTable(std::uint32_t entries, std::uint32_t assoc,
-                unsigned sctr_bits = 3);
+    HelperTable(std::uint32_t entries, std::uint32_t assoc);
 
     /**
      * Record/refresh the mapping observed during an instruction access
@@ -74,7 +72,6 @@ class HelperTable
 
     std::uint32_t numSets;
     std::uint32_t assoc;
-    unsigned sctrMax;
     std::vector<Entry> entriesArr;
     std::uint64_t nHits = 0;
     std::uint64_t nMisses = 0;

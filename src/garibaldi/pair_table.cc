@@ -1,5 +1,7 @@
 #include "garibaldi/pair_table.hh"
 
+#include <algorithm>
+
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
@@ -19,7 +21,6 @@ SIM_STATS(PairTable,
 PairTable::PairTable(const GaribaldiParams &params_, DppnTable &dppn_)
     : params(params_), dppn(dppn_),
       numColors(1u << params_.colorBits),
-      costMax((1u << params_.missCostBits) - 1),
       table(params_.pairTableEntries)
 {
     checkPowerOf2(params.pairTableEntries, "pair table entries");
@@ -48,7 +49,7 @@ PairTable::initEntry(Entry &e, Addr il_tag, unsigned color)
 {
     e.ilTag = il_tag;
     e.missCost = static_cast<std::uint8_t>(
-        params.missCostInit > costMax ? costMax : params.missCostInit);
+        std::min(params.missCostInit, kMissCostMax));
     e.color = static_cast<std::uint8_t>(color);
     e.valid = true;
     for (auto &f : e.fields)
@@ -92,7 +93,7 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
     for (unsigned i = 0; i < params.k; ++i) {
         DlField &f = e.fields[i];
         if (fieldMatches(f, dppn_val, dppo)) {
-            if (f.sctr < (1u << params.sctrBits) - 1)
+            if (f.sctr < kSctrMax)
                 ++f.sctr;
             f.oldBit = false;
             return;
@@ -119,7 +120,7 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
         if (slot->sctr > 0)
             --slot->sctr;
         // Rule 3: replace only once the incumbent has decayed.
-        if (slot->sctr >= params.sctrReplaceThreshold)
+        if (slot->sctr >= kSctrReplaceThreshold)
             return;
     }
 
@@ -128,7 +129,7 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
         return; // frame not representable right now; keep incumbent
     slot->dppnIdx = *idx;
     slot->dppo = static_cast<std::uint8_t>(dppo);
-    slot->sctr = static_cast<std::uint8_t>(params.sctrReplaceThreshold);
+    slot->sctr = static_cast<std::uint8_t>(kSctrReplaceThreshold);
     slot->oldBit = false;
     slot->valid = true;
     ++nFieldRecords;
@@ -168,7 +169,7 @@ PairTable::updateOnDataAccess(Addr il_pa, Addr dl_pa, bool data_hit,
     // Hot data propagates to the instruction's cost; cold data decays
     // it (Fig. 5(a)).
     if (data_hit) {
-        if (e.missCost < costMax)
+        if (e.missCost < kMissCostMax)
             ++e.missCost;
     } else if (e.missCost > 0) {
         --e.missCost;

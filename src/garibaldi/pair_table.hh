@@ -129,7 +129,6 @@ class PairTable
     GaribaldiParams params;
     DppnTable &dppn;
     unsigned numColors;
-    unsigned costMax;
     std::vector<Entry> table;
 
     std::uint64_t nUpdates = 0;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Garibaldi configuration (Table 2 defaults).
+ * Garibaldi configuration: Table 2 constants and the tunables a figure
+ * or test sets.
  */
 
 #ifndef GARIBALDI_GARIBALDI_PARAMS_HH
@@ -21,6 +22,27 @@ enum class ThresholdMode : std::uint8_t
     AllProtected, //!< threshold 0: every tracked instruction protected
 };
 
+/** Helper table entries per core (Table 2: 128, 4-way). */
+inline constexpr std::uint32_t kHelperEntries = 128;
+inline constexpr std::uint32_t kHelperAssoc = 4;
+/** miss_cost counter width (Table 2: 6 bits). */
+inline constexpr unsigned kMissCostBits = 6;
+inline constexpr unsigned kMissCostMax = (1u << kMissCostBits) - 1;
+/** Initial protection threshold (Fig. 14(b): 32). */
+inline constexpr unsigned kThresholdInit = 32;
+static_assert(kThresholdInit <= kMissCostMax);
+/** Margin on the P(D_miss|I_miss) vs miss-rate comparison. */
+inline constexpr double kThresholdMargin = 0.02;
+/** DL_PA / D_PPN saturating counter width (Table 2: 3 bits). */
+inline constexpr unsigned kSctrBits = 3;
+inline constexpr unsigned kSctrMax = (1u << kSctrBits) - 1;
+/** Replace a DL_PA field when its sctr falls below this (§5.3: 4). */
+inline constexpr unsigned kSctrReplaceThreshold = 4;
+/** Most recent instruction-miss PCs tracked per thread (§5.2: 10). */
+inline constexpr unsigned kRecentIMissPcs = 10;
+/** QBS integration (§6): query cost of one protection lookup. */
+inline constexpr Cycle kQbsLookupCost = 1;
+
 /** Tunables of the Garibaldi module. */
 struct GaribaldiParams
 {
@@ -30,12 +52,7 @@ struct GaribaldiParams
     unsigned k = 1;
     /** Decoupled D_PPN table entries (Table 2: 2^13, tagless). */
     std::uint32_t dppnEntries = 1u << 13;
-    /** Helper table entries per core (Table 2: 128, 4-way). */
-    std::uint32_t helperEntries = 128;
-    std::uint32_t helperAssoc = 4;
 
-    /** miss_cost counter width (Table 2: 6 bits). */
-    unsigned missCostBits = 6;
     /** Initial miss_cost of a fresh pair entry (mid-scale). */
     unsigned missCostInit = 32;
     /** Coloring timer width l (§5.2: 3 bits => 8 colors). */
@@ -45,22 +62,10 @@ struct GaribaldiParams
     std::uint64_t colorPeriod = 8192;
 
     ThresholdMode thresholdMode = ThresholdMode::Dynamic;
-    /** Initial protection threshold (Fig. 14(b): 32). */
-    unsigned thresholdInit = 32;
     /** Delta applied in Fixed mode (Fig. 14(b): -16 / 0 / +16). */
     int fixedThresholdDelta = 0;
-    /** Margin on the P(D_miss|I_miss) vs miss-rate comparison. */
-    double thresholdMargin = 0.02;
 
-    /** DL_PA / D_PPN saturating counter width (Table 2: 3 bits). */
-    unsigned sctrBits = 3;
-    /** Replace a DL_PA field when its sctr falls below this (§5.3: 4). */
-    unsigned sctrReplaceThreshold = 4;
-    /** Most recent instruction-miss PCs tracked per thread (§5.2: 10). */
-    unsigned recentIMissPcs = 10;
-
-    /** QBS integration (§6): query cost and per-eviction attempt cap. */
-    Cycle qbsLookupCost = 1;
+    /** QBS integration (§6): per-eviction attempt cap. */
     unsigned qbsMaxAttempts = 2;
 
     /** Master switch for the pairwise data prefetch (k=0 also off). */

@@ -21,13 +21,13 @@ computeStorage(const GaribaldiParams &params, std::uint32_t num_cores,
     unsigned line_bits = kPhysAddrBits - kLineShift; // 38
     unsigned tag_bits = line_bits > index_bits ? line_bits - index_bits
                                                : 1;
-    b.pairEntryBits = tag_bits + params.missCostBits + params.colorBits
+    b.pairEntryBits = tag_bits + kMissCostBits + params.colorBits
                       + 1;
 
     // DL_PA field: D_PPO (6 b) + D_PPN index + old bit + sctr.
     unsigned dppn_idx_bits = floorLog2(params.dppnEntries);
     b.dlFieldBits = (kPageShift - kLineShift) + dppn_idx_bits + 1 +
-                    params.sctrBits;
+                    kSctrBits;
 
     b.pairTableBytes = divCeil(
         std::uint64_t{params.pairTableEntries} *
@@ -38,7 +38,7 @@ computeStorage(const GaribaldiParams &params, std::uint32_t num_cores,
     unsigned frame_bits = kPhysAddrBits - kPageShift; // 32
     unsigned stored_frame_bits = frame_bits > dppn_idx_bits
         ? frame_bits - dppn_idx_bits : 1;
-    b.dppnEntryBits = stored_frame_bits + params.sctrBits + 1;
+    b.dppnEntryBits = stored_frame_bits + kSctrBits + 1;
     b.dppnTableBytes = divCeil(
         std::uint64_t{params.dppnEntries} * b.dppnEntryBits, 8);
 
@@ -46,9 +46,9 @@ computeStorage(const GaribaldiParams &params, std::uint32_t num_cores,
     // number) + PPPN + valid + sctr.
     unsigned vppn_bits = 29;
     unsigned pppn_bits = frame_bits;
-    b.helperEntryBits = vppn_bits + pppn_bits + 1 + params.sctrBits;
+    b.helperEntryBits = vppn_bits + pppn_bits + 1 + kSctrBits;
     b.helperBytesPerCore = divCeil(
-        std::uint64_t{params.helperEntries} * b.helperEntryBits, 8);
+        std::uint64_t{kHelperEntries} * b.helperEntryBits, 8);
 
     b.totalBytes = b.pairTableBytes + b.dppnTableBytes +
                    b.helperBytesPerCore * num_cores;

@@ -20,14 +20,13 @@ SIM_STATS(ThresholdUnit,
 ThresholdUnit::ThresholdUnit(const GaribaldiParams &params_,
                              std::uint32_t num_cores)
     : params(params_), numColors(1u << params_.colorBits),
-      maxThreshold((1u << params_.missCostBits) - 1),
-      dynThreshold(std::min(params_.thresholdInit, maxThreshold)),
+      dynThreshold(kThresholdInit),
       rings(num_cores)
 {
     if (params.colorPeriod == 0)
         fatal("color period must be non-zero");
     for (auto &r : rings)
-        r.pcs.assign(params.recentIMissPcs, 0);
+        r.pcs.assign(kRecentIMissPcs, 0);
 }
 
 void
@@ -73,16 +72,16 @@ ThresholdUnit::rotate()
 
     if (params.thresholdMode == ThresholdMode::Dynamic &&
         matchedTotal > 0) {
-        if (lastPdMiss < lastMissRate - params.thresholdMargin) {
+        if (lastPdMiss < lastMissRate - kThresholdMargin) {
             // Data behind instruction misses is being served: retain
             // more instructions.
             if (dynThreshold > 1)
                 --dynThreshold;
             ++nThresholdDowns;
-        } else if (lastPdMiss > lastMissRate + params.thresholdMargin) {
+        } else if (lastPdMiss > lastMissRate + kThresholdMargin) {
             // Indiscriminate protection is hurting the miss rate: be
             // more selective.
-            if (dynThreshold < maxThreshold)
+            if (dynThreshold < kMissCostMax)
                 ++dynThreshold;
             ++nThresholdUps;
         }
@@ -103,9 +102,9 @@ ThresholdUnit::threshold() const
       case ThresholdMode::AllProtected:
         return 0;
       case ThresholdMode::Fixed: {
-          int t = static_cast<int>(params.thresholdInit) +
+          int t = static_cast<int>(kThresholdInit) +
                   params.fixedThresholdDelta;
-          t = std::clamp(t, 1, static_cast<int>(maxThreshold));
+          t = std::clamp(t, 1, static_cast<int>(kMissCostMax));
           return static_cast<unsigned>(t);
       }
       case ThresholdMode::Dynamic:

@@ -61,7 +61,6 @@ class ThresholdUnit
 
     GaribaldiParams params;
     unsigned numColors;
-    unsigned maxThreshold;
     unsigned currentColor = 0;
     unsigned dynThreshold;
 

@@ -428,9 +428,8 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
     }
 
     // Partition admission: only critical instruction lines may claim
-    // the instruction region when the Emissary-style filter is on.
-    bool instr_class = acc.isInstr &&
-        (!params.partitionCriticalOnly || critical);
+    // the instruction region (Emissary-style filter).
+    bool instr_class = acc.isInstr && critical;
     if (params.instrPartitionWays > 0 && instr_class)
         ++stat.partitionInstrInserts;
 

@@ -47,10 +47,9 @@ struct CacheParams
     PolicyKind policy = PolicyKind::LRU;
     PolicyParams policyParams{};
 
-    /** LLC ways per set reserved for (critical) instruction lines. */
+    /** LLC ways per set reserved for criticality-marked instruction
+     *  lines (Emissary-style filter). */
     std::uint32_t instrPartitionWays = 0;
-    /** Partition admits only criticality-marked instruction lines. */
-    bool partitionCriticalOnly = false;
     /** Fig. 3(d) I-oracle: instructions always hit after first touch. */
     bool instrOracle = false;
 

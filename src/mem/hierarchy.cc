@@ -67,7 +67,7 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     llcSet = std::make_unique<LlcBankSet>(pllc, params.llcBanks,
                                           params.llcBankInterleaveShift);
     dramModel = std::make_unique<Dram>(params.dram);
-    if (params.llc.instrPartitionWays > 0 && params.llc.partitionCriticalOnly)
+    if (params.llc.instrPartitionWays > 0)
         instrCrit = std::make_unique<DecayingCounterTable>(kInstrCritEntries);
 }
 
@@ -267,10 +267,8 @@ MemoryHierarchy::stageDramFill(Transaction &txn)
     if (!txn.allocate)
         return;
 
-    if (txn.req.isInstr && llcSet->config().instrPartitionWays > 0 &&
-        llcSet->config().partitionCriticalOnly) {
+    if (txn.req.isInstr && llcSet->config().instrPartitionWays > 0)
         txn.critical = instrIsCritical(txn.lineAddr);
-    }
 
     Eviction ev = llcSet->insert(txn.req, false, txn.critical);
     if (ev.valid && ev.dirty)

@@ -160,8 +160,8 @@ class MemoryHierarchy
     Tracer *tracer = nullptr;
     std::vector<LlcEventListener *> llcListeners;
     std::vector<Addr> pfScratch; // prefetch scratch
-    /** Instruction-criticality tracker; built only when the LLC's
-     *  critical-only partition filter, its one reader, is on. */
+    /** Instruction-criticality tracker; built only when the LLC has an
+     *  instruction partition, whose admission filter is its one reader. */
     std::unique_ptr<DecayingCounterTable> instrCrit;
     std::uint64_t mshrStalls = 0;
 };

@@ -10,9 +10,9 @@ HawkeyePolicy::HawkeyePolicy(std::uint32_t num_sets, std::uint32_t assoc_,
     : PolicyBase(num_sets, assoc_),
       predictor(kPredictorSize, SatCounter(3, 4)),
       lines(std::size_t{num_sets} * assoc_),
-      optgen(assoc_, params.historyAssocMult * assoc_),
+      optgen(assoc_, kHistoryAssocMult * assoc_),
       history(num_sets, params.sampleShift,
-              params.historyAssocMult * assoc_, optgen.rowBytes())
+              kHistoryAssocMult * assoc_, optgen.rowBytes())
 {
 }
 

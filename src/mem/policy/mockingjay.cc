@@ -13,7 +13,7 @@ MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
                                    std::uint32_t assoc_,
                                    const PolicyParams &params)
     : PolicyBase(num_sets, assoc_),
-      historyLen(params.historyAssocMult * assoc_),
+      historyLen(kHistoryAssocMult * assoc_),
       maxEtr((1 << (params.counterBits - 1)) - 1),
       minEtr(-(1 << (params.counterBits - 1))),
       granularity(std::max<std::uint32_t>(

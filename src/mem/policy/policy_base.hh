@@ -34,6 +34,12 @@ const char *policyKindName(PolicyKind kind);
 /** Parse a policy name ("lru", "drrip", "mockingjay", ...). */
 PolicyKind parsePolicyKind(const std::string &name);
 
+/**
+ * Sampled-history length of Hawkeye and Mockingjay as a multiple of
+ * associativity (paper: 8x).
+ */
+inline constexpr unsigned kHistoryAssocMult = 8;
+
 /** Tunables shared by the predictive policies. */
 struct PolicyParams
 {
@@ -49,8 +55,6 @@ struct PolicyParams
     unsigned counterBits = 3;
     /** Sample one of every 2^sampleShift sets for history-based policies. */
     unsigned sampleShift = 3;
-    /** History length as a multiple of associativity (paper: 8x). */
-    unsigned historyAssocMult = 8;
     /** Seed for DRRIP's BRRIP insertion draw. */
     std::uint64_t seed = 1;
 };

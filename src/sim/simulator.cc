@@ -88,7 +88,7 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
         heap.emplace(sys.core(c).now(), c);
 
     // Ops are pulled from each core's stream a chunk at a time (one
-    // virtual fill() per chunk instead of one next() per op).  Each
+    // fill() call per chunk instead of one next() per op).  Each
     // core's op sequence is exactly what per-op next() calls would
     // produce — streams are per-core, so interleaving fetches across
     // cores differently from execution order is invisible — and a

@@ -40,7 +40,6 @@ SystemConfig::hierarchyParams() const
     h.llc.policyParams = llcPolicyParams;
     h.llc.policyParams.seed = seed;
     h.llc.instrPartitionWays = llcInstrPartitionWays;
-    h.llc.partitionCriticalOnly = llcPartitionCriticalOnly;
     h.llc.instrOracle = llcInstrOracle;
     h.llcBanks = llcBanks;
     h.llcBankInterleaveShift = llcBankInterleaveShift;

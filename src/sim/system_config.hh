@@ -55,13 +55,11 @@ struct SystemConfig
     PolicyParams llcPolicyParams{
         .counterBits = 5,   // 5-bit ETR/RRPV (§6)
         .sampleShift = 2,   // denser sampling: scaled windows train fast
-        .historyAssocMult = 8,
         .seed = 1,
     };
 
     // Fig. 14(d)/3(d) LLC modes.
     std::uint32_t llcInstrPartitionWays = 0;
-    bool llcPartitionCriticalOnly = false;
     bool llcInstrOracle = false;
 
     /**

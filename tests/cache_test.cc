@@ -287,9 +287,9 @@ TEST(Cache, PartitionSeparatesClasses)
     CacheParams p = smallParams(4, 4 * 64 * 1); // 1 set, 4 ways
     p.instrPartitionWays = 2;
     Cache c(p);
-    // Fill instruction region (ways 0-1).
-    c.insert(makeAccess(0 * 64, true));
-    c.insert(makeAccess(1 * 64, true));
+    // Fill instruction region (ways 0-1) with critical lines.
+    c.insert(makeAccess(0 * 64, true), false, /*critical=*/true);
+    c.insert(makeAccess(1 * 64, true), false, /*critical=*/true);
     // Fill data region (ways 2-3).
     c.insert(makeAccess(2 * 64, false));
     c.insert(makeAccess(3 * 64, false));
@@ -297,8 +297,8 @@ TEST(Cache, PartitionSeparatesClasses)
     Eviction ev = c.insert(makeAccess(4 * 64, false));
     ASSERT_TRUE(ev.valid);
     EXPECT_FALSE(ev.isInstr);
-    // A new instruction line must evict an instruction line.
-    ev = c.insert(makeAccess(5 * 64, true));
+    // A new critical instruction line must evict an instruction line.
+    ev = c.insert(makeAccess(5 * 64, true), false, /*critical=*/true);
     ASSERT_TRUE(ev.valid);
     EXPECT_TRUE(ev.isInstr);
 }
@@ -307,7 +307,6 @@ TEST(Cache, PartitionCriticalFilterRoutesNonCriticalToData)
 {
     CacheParams p = smallParams(4, 4 * 64 * 1);
     p.instrPartitionWays = 2;
-    p.partitionCriticalOnly = true;
     Cache c(p);
     c.insert(makeAccess(2 * 64, false));
     c.insert(makeAccess(3 * 64, false));

@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "common/intmath.hh"
 #include "common/rng.hh"
 #include "core/branch/tage.hh"
 #include "core/core_model.hh"
@@ -81,8 +82,74 @@ TEST(Tlb, LruWithinSet)
         t.access(v);
     t.access(0); // refresh 0
     t.access(100); // evicts LRU (1)
-    EXPECT_TRUE(t.probe(0));
-    EXPECT_FALSE(t.probe(1));
+    EXPECT_TRUE(t.access(0));
+    EXPECT_FALSE(t.access(1));
+}
+
+/** The per-entry 64-bit tick LRU that Tlb's recency stamps replace. */
+class TickLruTlb
+{
+  public:
+    TickLruTlb(std::uint32_t sets, std::uint32_t assoc)
+        : numSets(sets), ways(assoc), entries(std::size_t{sets} * assoc)
+    {}
+
+    bool
+    access(Addr vpn)
+    {
+        Entry *base =
+            &entries[static_cast<std::size_t>(mix64(vpn) % numSets) *
+                     ways];
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (base[w].valid && base[w].vpn == vpn) {
+                base[w].lastUse = ++tick;
+                return true;
+            }
+        }
+        Entry *lru = base;
+        for (std::uint32_t w = 0; w < ways; ++w) {
+            if (!base[w].valid) {
+                lru = &base[w];
+                break;
+            }
+            if (base[w].lastUse < lru->lastUse)
+                lru = &base[w];
+        }
+        *lru = {vpn, ++tick, true};
+        return false;
+    }
+
+  private:
+    struct Entry
+    {
+        Addr vpn = 0;
+        std::uint64_t lastUse = 0;
+        bool valid = false;
+    };
+
+    std::uint32_t numSets;
+    std::uint32_t ways;
+    std::vector<Entry> entries;
+    std::uint64_t tick = 0;
+};
+
+TEST(Tlb, MatchesTickLruReference)
+{
+    for (std::uint32_t assoc : {4u, 6u, 8u, 12u}) {
+        for (std::uint32_t sets : {1u, 3u, 8u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << assoc << "-way, " << sets << " sets");
+            Tlb t(sets * assoc, assoc);
+            TickLruTlb ref(sets, assoc);
+            Pcg32 rng(assoc, sets);
+            // Twice the capacity, vpn 0 included: misses evict, and the
+            // 20000 touches re-rank every set's stamps many times.
+            for (int i = 0; i < 20000; ++i) {
+                Addr vpn = rng.nextBounded(2 * sets * assoc);
+                ASSERT_EQ(t.access(vpn), ref.access(vpn)) << "step " << i;
+            }
+        }
+    }
 }
 
 TEST(TlbHierarchy, CostsPerLevel)

@@ -163,7 +163,6 @@ TEST_F(ShapeTest, PartitioningProtectsButCostsAssociativity)
     SystemConfig part =
         configWithPolicy(ctx().baseConfig(), PolicyKind::LRU, false);
     part.llcInstrPartitionWays = 8; // starves data (Fig. 14(d) tail)
-    part.llcPartitionCriticalOnly = true;
     SimResult heavy = ctx().run(part, m);
     SimResult lru = ctx().runPolicy(PolicyKind::LRU, false, m);
     // Over-partitioning must not beat a sane configuration by much —

@@ -111,6 +111,39 @@ TEST(ThresholdUnit, ThresholdRisesWhenMatchedDataMisses)
     EXPECT_GT(t.threshold(), start);
 }
 
+/**
+ * One color period of testParams(): an LLC miss rate of 0.50 and a
+ * P(D_miss | I_miss) of @p pd_misses / 100.
+ */
+void
+runPeriod(ThresholdUnit &t, int pd_misses)
+{
+    t.onInstrMiss(0, 0x4000);
+    for (int i = 0; i < 100; ++i)
+        t.onDataAccess(0, 0x4000, /*hit=*/i >= pd_misses);
+    for (int i = 0; i < 100; ++i)
+        t.onLlcAccess(/*hit=*/i >= 50);
+}
+
+TEST(ThresholdUnit, HoldsInsideMargin)
+{
+    ThresholdUnit t(testParams(), 1);
+    ASSERT_EQ(t.threshold(), kThresholdInit);
+    // Within kThresholdMargin (0.02) of the miss rate: the dead band.
+    for (int pd : {48, 49, 50, 51, 52}) {
+        runPeriod(t, pd);
+        EXPECT_DOUBLE_EQ(t.lastLlcMissRate(), 0.5);
+        EXPECT_DOUBLE_EQ(t.lastConditionalMissRate(), pd / 100.0);
+        EXPECT_EQ(t.threshold(), kThresholdInit) << "pd " << pd;
+    }
+    runPeriod(t, 47); // 0.03 below: retain more instructions
+    EXPECT_EQ(t.threshold(), kThresholdInit - 1);
+    runPeriod(t, 53); // 0.03 above: be more selective
+    EXPECT_EQ(t.threshold(), kThresholdInit);
+    runPeriod(t, 53);
+    EXPECT_EQ(t.threshold(), kThresholdInit + 1);
+}
+
 TEST(ThresholdUnit, FixedModeNeverMoves)
 {
     GaribaldiParams p = testParams();
@@ -283,7 +316,6 @@ TEST(Garibaldi, QbsParametersExposed)
 {
     GaribaldiParams p = testParams();
     p.qbsMaxAttempts = 2;
-    p.qbsLookupCost = 1;
     Garibaldi g(p, 1);
     EXPECT_EQ(g.maxProtectAttempts(), 2u);
     EXPECT_EQ(g.queryCost(), 1u);

@@ -284,7 +284,7 @@ TEST(Hawkeye, SampledHistoryMatchesReferenceModel)
     PolicyParams params;
     params.sampleShift = 1; // sets 0, 2, 4 and 6 train
     HawkeyePolicy p(kSets, kWays, params);
-    const std::uint32_t window = params.historyAssocMult * kWays;
+    const std::uint32_t window = kHistoryAssocMult * kWays;
     // The first three PCs reuse a few hot lines; the rest scan a pool
     // larger than the window.
     const std::vector<Addr> pcs = {0x401000, 0x401104, 0x401208,

@@ -24,7 +24,6 @@ mjParams()
     PolicyParams p;
     p.counterBits = 5;
     p.sampleShift = 0; // sample every set for tests
-    p.historyAssocMult = 8;
     return p;
 }
 
@@ -165,7 +164,7 @@ class SamplerReference
   public:
     SamplerReference(std::uint32_t assoc_, const PolicyParams &p)
         : assoc(assoc_), sampleShift(p.sampleShift),
-          historyLen(p.historyAssocMult * assoc_)
+          historyLen(kHistoryAssocMult * assoc_)
     {}
 
     void

@@ -342,7 +342,6 @@ TEST(PairTable, Rule2NoArmedFieldBypasses)
 TEST(PairTable, Rule23ArmedFieldDecaysThenReplaced)
 {
     GaribaldiParams gp = smallParams(1);
-    gp.sctrReplaceThreshold = 4;
     DppnTable dppn(gp.dppnEntries);
     PairTable pt(gp, dppn);
     Addr il = 0x10000, dl1 = 0x900000, dl2 = 0x910000;

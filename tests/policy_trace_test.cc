@@ -138,6 +138,5 @@ TEST(PolicyTrace, PolicyParamsDefaultsPinned)
     PolicyParams p;
     EXPECT_EQ(p.counterBits, 3u);
     EXPECT_EQ(p.sampleShift, 3u);
-    EXPECT_EQ(p.historyAssocMult, 8u);
     EXPECT_EQ(p.seed, 1ull);
 }

@@ -314,7 +314,9 @@ TEST(CacheDifferential, MatchesNaiveLruModel)
             bool dirty = rng.chance(0.1);
             std::uint32_t want_way;
             Eviction want = ref.insert(a, dirty, want_way);
-            Eviction got = cache.insert(a, dirty);
+            // Every instruction line is critical, so the partition
+            // admits each one, as the model's does.
+            Eviction got = cache.insert(a, dirty, /*critical=*/a.isInstr);
             ASSERT_EQ(got.valid, want.valid) << "step " << i;
             ASSERT_EQ(got.lineAddr, want.lineAddr) << "step " << i;
             ASSERT_EQ(got.dirty, want.dirty) << "step " << i;
@@ -573,7 +575,6 @@ TEST_P(PairTablePropertyTest, InvariantsUnderRandomTraffic)
     PairTable pt(gp, dppn);
     Pcg32 rng(51 + GetParam(), 6);
 
-    unsigned cost_max = (1u << gp.missCostBits) - 1;
     for (int i = 0; i < 50000; ++i) {
         Addr il = Addr{rng.nextBounded(2048)} << kLineShift;
         unsigned color = rng.nextBounded(8);
@@ -591,18 +592,17 @@ TEST_P(PairTablePropertyTest, InvariantsUnderRandomTraffic)
           default: {
               PairQueryResult q = pt.query(il, color);
               // Aged cost can never exceed the raw counter range.
-              EXPECT_LE(q.agedCost, cost_max);
+              EXPECT_LE(q.agedCost, kMissCostMax);
               break;
           }
         }
         if ((i & 1023) == 0) {
             PairTable::DebugEntry d = pt.debugEntry(il);
-            EXPECT_LE(d.missCost, cost_max);
+            EXPECT_LE(d.missCost, kMissCostMax);
             EXPECT_LT(d.color, 8u);
             for (unsigned f = 0; f < gp.k; ++f) {
                 if (d.fields[f].valid) {
-                    EXPECT_LE(d.fields[f].sctr,
-                              (1u << gp.sctrBits) - 1);
+                    EXPECT_LE(d.fields[f].sctr, kSctrMax);
                 }
             }
         }
