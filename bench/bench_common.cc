@@ -13,15 +13,18 @@ namespace garibaldi
 void
 BenchArgs::addTo(ArgParser &args, bool sweep)
 {
-    args.addInt("cores", 8, "simulated cores");
-    args.addInt("warmup", 150000, "warmup instructions per core");
-    args.addInt("instr", 300000, "measured instructions per core");
-    args.addInt("seed", 1, "master seed");
+    const BenchArgs d;
+    args.addInt("cores", d.cores, "simulated cores");
+    args.addInt("warmup", static_cast<std::int64_t>(d.warmup),
+                "warmup instructions per core");
+    args.addInt("instr", static_cast<std::int64_t>(d.detailed),
+                "measured instructions per core");
+    args.addInt("seed", static_cast<std::int64_t>(d.seed), "master seed");
     audit::addAuditArg(args);
     args.addFlag("full", "full workload set / paper-scale sweep");
     args.addFlag("csv", "emit CSV instead of aligned text");
     if (sweep) {
-        args.addInt("jobs", 0,
+        args.addInt("jobs", d.jobs,
                     "parallel sweep worker threads (0 = all hardware "
                     "threads); results are identical for any value");
         args.addFlag("progress", "per-job sweep progress on stderr");

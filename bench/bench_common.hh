@@ -21,12 +21,12 @@
 namespace garibaldi
 {
 
-/** Parsed common bench options. */
+/** Parsed common bench options; the defaults are the flags' defaults. */
 struct BenchArgs
 {
     std::uint32_t cores = 8;
-    std::uint64_t warmup = 100000;
-    std::uint64_t detailed = 200000;
+    std::uint64_t warmup = 150000;
+    std::uint64_t detailed = 300000;
     std::uint64_t seed = 1;
     std::uint32_t jobs = 0; //!< sweep workers; 0 = hardware threads
     bool full = false;

@@ -18,22 +18,30 @@ SIM_STATS(PairTable,
     SIM_STAT("field_records", counter),
     SIM_STAT("field_bypasses", counter));
 
-PairTable::PairTable(const GaribaldiParams &params_, DppnTable &dppn_)
-    : params(params_), dppn(dppn_),
-      numColors(1u << params_.colorBits),
-      table(params_.pairTableEntries)
+const GaribaldiParams &
+PairTable::validated(const GaribaldiParams &p)
 {
-    checkPowerOf2(params.pairTableEntries, "pair table entries");
-    if (params.k > kMaxFields)
-        fatal("pair table k (", params.k, ") exceeds the supported ",
+    checkPowerOf2(p.pairTableEntries, "pair table entries");
+    if (p.k > kMaxFields)
+        fatal("pair table k (", p.k, ") exceeds the supported ",
               kMaxFields, " DL_PA fields");
+    return p;
+}
+
+PairTable::PairTable(const GaribaldiParams &params_, DppnTable &dppn_)
+    : params(validated(params_)), dppn(dppn_),
+      numColors(1u << params_.colorBits),
+      table(makeZeroedArray<Entry>(params_.pairTableEntries)),
+      fields(makeZeroedArray<DlField>(std::size_t{params_.pairTableEntries} *
+                                      params_.k))
+{
 }
 
 std::size_t
 PairTable::indexOf(Addr il_pa) const
 {
     return static_cast<std::size_t>(mix64(lineNumber(il_pa))) &
-           (table.size() - 1);
+           (params.pairTableEntries - 1);
 }
 
 unsigned
@@ -45,20 +53,26 @@ PairTable::agedCostOf(const Entry &e, unsigned color) const
 }
 
 void
-PairTable::initEntry(Entry &e, Addr il_tag, unsigned color)
+PairTable::initEntry(Entry &e, DlField *f, Addr il_tag, unsigned color)
 {
     e.ilTag = il_tag;
     e.missCost = static_cast<std::uint8_t>(
         std::min(params.missCostInit, kMissCostMax));
     e.color = static_cast<std::uint8_t>(color);
     e.valid = true;
-    for (auto &f : e.fields)
-        f = DlField{}; // invalid, old bit armed
+    std::fill_n(f, params.k, DlField{}); // invalid, old bit armed
     ++nAllocs;
 }
 
 void
-PairTable::refreshColor(Entry &e, unsigned color)
+PairTable::armFields(DlField *f)
+{
+    for (unsigned i = 0; i < params.k; ++i)
+        f[i].disarmed = false;
+}
+
+void
+PairTable::refreshColor(Entry &e, DlField *f, unsigned color)
 {
     if (e.color == color)
         return;
@@ -67,8 +81,7 @@ PairTable::refreshColor(Entry &e, unsigned color)
     // re-arms the old bits (Fig. 10(b)).
     e.missCost = static_cast<std::uint8_t>(agedCostOf(e, color));
     e.color = static_cast<std::uint8_t>(color);
-    for (auto &f : e.fields)
-        f.oldBit = true;
+    armFields(f);
 }
 
 bool
@@ -82,7 +95,7 @@ PairTable::fieldMatches(const DlField &f, Addr dppn_val,
 }
 
 void
-PairTable::updateFields(Entry &e, Addr dl_pa)
+PairTable::updateFields(DlField *fs, Addr dl_pa)
 {
     if (params.k == 0)
         return;
@@ -91,11 +104,11 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
 
     // Rule 1: a matching field is reinforced and un-armed.
     for (unsigned i = 0; i < params.k; ++i) {
-        DlField &f = e.fields[i];
+        DlField &f = fs[i];
         if (fieldMatches(f, dppn_val, dppo)) {
             if (f.sctr < kSctrMax)
                 ++f.sctr;
-            f.oldBit = false;
+            f.disarmed = true;
             return;
         }
     }
@@ -104,8 +117,8 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
     // when none is armed the access bypasses recording entirely.
     DlField *slot = nullptr;
     for (unsigned i = 0; i < params.k; ++i) {
-        DlField &f = e.fields[i];
-        if (!f.valid || f.oldBit) {
+        DlField &f = fs[i];
+        if (!f.valid || !f.disarmed) {
             slot = &f;
             break;
         }
@@ -116,7 +129,7 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
     }
 
     if (slot->valid) {
-        slot->oldBit = false;
+        slot->disarmed = true;
         if (slot->sctr > 0)
             --slot->sctr;
         // Rule 3: replace only once the incumbent has decayed.
@@ -130,7 +143,7 @@ PairTable::updateFields(Entry &e, Addr dl_pa)
     slot->dppnIdx = *idx;
     slot->dppo = static_cast<std::uint8_t>(dppo);
     slot->sctr = static_cast<std::uint8_t>(kSctrReplaceThreshold);
-    slot->oldBit = false;
+    slot->disarmed = true;
     slot->valid = true;
     ++nFieldRecords;
 }
@@ -140,11 +153,13 @@ PairTable::updateOnDataAccess(Addr il_pa, Addr dl_pa, bool data_hit,
                               unsigned color, unsigned threshold)
 {
     ++nUpdates;
-    Entry &e = table[indexOf(il_pa)];
+    std::size_t i = indexOf(il_pa);
+    Entry &e = table[i];
+    DlField *f = fieldsOf(i);
     Addr tag = lineNumber(il_pa);
 
     if (!e.valid) {
-        initEntry(e, tag, color);
+        initEntry(e, f, tag, color);
     } else if (e.ilTag != tag) {
         // Collision: the incumbent survives while its aged cost still
         // clears the threshold; the aged cost and color are folded in
@@ -154,16 +169,15 @@ PairTable::updateOnDataAccess(Addr il_pa, Addr dl_pa, bool data_hit,
             e.missCost = static_cast<std::uint8_t>(aged);
             if (e.color != color) {
                 e.color = static_cast<std::uint8_t>(color);
-                for (auto &f : e.fields)
-                    f.oldBit = true;
+                armFields(f);
             }
             ++nCollisionsPreserved;
             return;
         }
         ++nCollisionsReplaced;
-        initEntry(e, tag, color);
+        initEntry(e, f, tag, color);
     } else {
-        refreshColor(e, color);
+        refreshColor(e, f, color);
     }
 
     // Hot data propagates to the instruction's cost; cold data decays
@@ -175,17 +189,17 @@ PairTable::updateOnDataAccess(Addr il_pa, Addr dl_pa, bool data_hit,
         --e.missCost;
     }
 
-    updateFields(e, dl_pa);
+    updateFields(f, dl_pa);
 }
 
 void
 PairTable::onInstrMiss(Addr il_pa)
 {
-    Entry &e = table[indexOf(il_pa)];
+    std::size_t i = indexOf(il_pa);
+    const Entry &e = table[i];
     if (!e.valid || e.ilTag != lineNumber(il_pa))
         return;
-    for (unsigned i = 0; i < params.k; ++i)
-        e.fields[i].oldBit = true;
+    armFields(fieldsOf(i));
 }
 
 PairQueryResult
@@ -202,11 +216,13 @@ void
 PairTable::collectPrefetchCandidates(Addr il_pa,
                                      std::vector<Addr> &out) const
 {
-    const Entry &e = table[indexOf(il_pa)];
+    std::size_t i = indexOf(il_pa);
+    const Entry &e = table[i];
     if (!e.valid || e.ilTag != lineNumber(il_pa))
         return;
-    for (unsigned i = 0; i < params.k; ++i) {
-        const DlField &f = e.fields[i];
+    const DlField *fs = fieldsOf(i);
+    for (unsigned j = 0; j < params.k; ++j) {
+        const DlField &f = fs[j];
         if (!f.valid)
             continue;
         auto frame = dppn.lookup(f.dppnIdx);
@@ -220,21 +236,26 @@ PairTable::collectPrefetchCandidates(Addr il_pa,
 PairTable::DebugEntry
 PairTable::debugEntry(Addr il_pa) const
 {
-    const Entry &e = table[indexOf(il_pa)];
+    std::size_t i = indexOf(il_pa);
+    const Entry &e = table[i];
     DebugEntry d;
     d.valid = e.valid;
     d.tagMatch = e.valid && e.ilTag == lineNumber(il_pa);
     d.missCost = e.missCost;
     d.color = e.color;
-    for (unsigned i = 0; i < kMaxFields; ++i) {
-        const DlField &f = e.fields[i];
-        d.fields[i].valid = f.valid;
-        d.fields[i].oldBit = f.oldBit;
-        d.fields[i].sctr = f.sctr;
+    // Fields past k do not exist; they read as unused and armed.
+    for (auto &df : d.fields)
+        df.oldBit = true;
+    const DlField *fs = fieldsOf(i);
+    for (unsigned j = 0; j < params.k; ++j) {
+        const DlField &f = fs[j];
+        d.fields[j].valid = f.valid;
+        d.fields[j].oldBit = !f.disarmed;
+        d.fields[j].sctr = f.sctr;
         if (f.valid) {
             auto frame = dppn.lookup(f.dppnIdx);
             if (frame)
-                d.fields[i].dlpa = (*frame << kPageShift) |
+                d.fields[j].dlpa = (*frame << kPageShift) |
                                    (Addr{f.dppo} << kLineShift);
         }
     }

@@ -17,6 +17,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "common/zeroed_array.hh"
 #include "garibaldi/dppn_table.hh"
 #include "garibaldi/params.hh"
 
@@ -34,6 +35,8 @@ struct PairQueryResult
 class PairTable
 {
   public:
+    /** Most DL_PA fields per entry (Fig. 14(a) sweeps k up to 8);
+     *  each entry holds exactly k. */
     static constexpr unsigned kMaxFields = 8;
 
     PairTable(const GaribaldiParams &params, DppnTable &dppn);
@@ -101,35 +104,44 @@ class PairTable
     }
 
   private:
+    /** 8 bytes; all-zero is an unused field with its old bit set. */
     struct DlField
     {
-        std::uint32_t dppnIdx = 0;
-        std::uint8_t dppo = 0; //!< line index within the page (6 bits)
-        std::uint8_t sctr = 0;
-        bool oldBit = true;    //!< armed => may be (re)recorded
-        bool valid = false;
+        std::uint32_t dppnIdx;
+        std::uint8_t dppo; //!< line index within the page (6 bits)
+        std::uint8_t sctr;
+        bool disarmed;     //!< old bit clear: may not be (re)recorded
+        bool valid;
     };
+    static_assert(sizeof(DlField) == 8, "DlField must stay compact");
 
+    /** 16 bytes; all-zero is an invalid entry. */
     struct Entry
     {
-        Addr ilTag = 0; //!< instruction line number (IL_PA >> 6)
-        std::uint8_t missCost = 0;
-        std::uint8_t color = 0;
-        bool valid = false;
-        std::array<DlField, kMaxFields> fields{};
+        Addr ilTag; //!< instruction line number (IL_PA >> 6)
+        std::uint8_t missCost;
+        std::uint8_t color;
+        bool valid;
     };
+    static_assert(sizeof(Entry) == 16, "Entry must stay compact");
 
+    static const GaribaldiParams &validated(const GaribaldiParams &p);
     std::size_t indexOf(Addr il_pa) const;
+    /** The k DL_PA fields of entry @p i. */
+    DlField *fieldsOf(std::size_t i) const { return &fields[i * params.k]; }
     unsigned agedCostOf(const Entry &e, unsigned color) const;
-    void initEntry(Entry &e, Addr il_tag, unsigned color);
-    void refreshColor(Entry &e, unsigned color);
-    void updateFields(Entry &e, Addr dl_pa);
+    void initEntry(Entry &e, DlField *f, Addr il_tag, unsigned color);
+    void armFields(DlField *f);
+    void refreshColor(Entry &e, DlField *f, unsigned color);
+    void updateFields(DlField *f, Addr dl_pa);
     bool fieldMatches(const DlField &f, Addr dppn, unsigned dppo) const;
 
     GaribaldiParams params;
     DppnTable &dppn;
     unsigned numColors;
-    std::vector<Entry> table;
+    /** Entry i's header, and its k DL_PA fields at fields[i * k]. */
+    ZeroedArray<Entry> table;
+    ZeroedArray<DlField> fields;
 
     std::uint64_t nUpdates = 0;
     std::uint64_t nAllocs = 0;

@@ -9,7 +9,7 @@ HawkeyePolicy::HawkeyePolicy(std::uint32_t num_sets, std::uint32_t assoc_,
                              const PolicyParams &params)
     : PolicyBase(num_sets, assoc_),
       predictor(kPredictorSize, SatCounter(3, 4)),
-      lines(std::size_t{num_sets} * assoc_),
+      lines(makeZeroedArray<LineState>(std::size_t{num_sets} * assoc_)),
       optgen(assoc_, kHistoryAssocMult * assoc_),
       history(num_sets, params.sampleShift,
               kHistoryAssocMult * assoc_, optgen.rowBytes())
@@ -59,7 +59,7 @@ HawkeyePolicy::onHit(std::uint32_t set, std::uint32_t way,
     LineState &ls = line(set, way);
     ls.friendly = isFriendly(acc.pc);
     ls.pcSig = static_cast<std::uint16_t>(pcIndex(acc.pc));
-    ls.rrpv = ls.friendly ? 0 : kMaxRrpv;
+    ls.setRrpv(ls.friendly ? 0 : kMaxRrpv);
 }
 
 std::uint32_t
@@ -68,13 +68,13 @@ HawkeyePolicy::victim(std::uint32_t set, const MemAccess &)
     // Prefer cache-averse lines (rrpv == max); else evict the oldest
     // friendly line and detrain its PC.
     for (std::uint32_t w = 0; w < assoc; ++w)
-        if (line(set, w).rrpv >= kMaxRrpv)
+        if (line(set, w).rrpv() >= kMaxRrpv)
             return w;
     std::uint32_t best = 0;
     unsigned best_rrpv = 0;
     for (std::uint32_t w = 0; w < assoc; ++w) {
-        if (line(set, w).rrpv >= best_rrpv) {
-            best_rrpv = line(set, w).rrpv;
+        if (line(set, w).rrpv() >= best_rrpv) {
+            best_rrpv = line(set, w).rrpv();
             best = w;
         }
     }
@@ -98,13 +98,13 @@ HawkeyePolicy::onInsert(std::uint32_t set, std::uint32_t way,
         // in preference to fresh ones.
         for (std::uint32_t w = 0; w < assoc; ++w) {
             if (w != way && line(set, w).valid &&
-                line(set, w).rrpv < kMaxRrpv - 1) {
-                ++line(set, w).rrpv;
+                line(set, w).rrpv() < kMaxRrpv - 1) {
+                --line(set, w).rrpvGap; // one RRPV step older
             }
         }
-        ls.rrpv = 0;
+        ls.setRrpv(0);
     } else {
-        ls.rrpv = kMaxRrpv;
+        ls.setRrpv(kMaxRrpv);
     }
 }
 
@@ -113,7 +113,7 @@ HawkeyePolicy::promote(std::uint32_t set, std::uint32_t way)
 {
     LineState &ls = line(set, way);
     ls.friendly = true;
-    ls.rrpv = 0;
+    ls.setRrpv(0);
 }
 
 void

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/sat_counter.hh"
+#include "common/zeroed_array.hh"
 #include "mem/policy/optgen.hh"
 #include "mem/policy/policy_base.hh"
 #include "mem/policy/sampled_history.hh"
@@ -54,15 +55,22 @@ class HawkeyePolicy final : public PolicyBase
 
     static std::size_t pcIndex(Addr pc);
 
-    /** 4 bytes: the RRPV, then the 13-bit PC signature and flags. */
+    /** 4 bytes: the RRPV, then the 13-bit PC signature and flags.
+     *  The RRPV is stored as kMaxRrpv - RRPV, so all-zero is an
+     *  invalid line at RRPV kMaxRrpv. */
     struct LineState
     {
-        std::uint8_t rrpv = kMaxRrpv;
+        std::uint8_t rrpvGap;
         std::uint16_t pcSig : kPredictorBits;
         std::uint16_t friendly : 1;
         std::uint16_t valid : 1;
 
-        LineState() : pcSig(0), friendly(0), valid(0) {}
+        unsigned rrpv() const { return kMaxRrpv - rrpvGap; }
+        void
+        setRrpv(unsigned v)
+        {
+            rrpvGap = static_cast<std::uint8_t>(kMaxRrpv - v);
+        }
     };
     static_assert(sizeof(LineState) <= 4, "LineState must stay compact");
 
@@ -73,7 +81,7 @@ class HawkeyePolicy final : public PolicyBase
 
     /** 3-bit counters of 2 bytes each: 16 KiB. */
     std::vector<SatCounter> predictor;
-    std::vector<LineState> lines;
+    ZeroedArray<LineState> lines; //!< all-zero = invalid, RRPV max
     OptGen optgen;
     /** Each sampled set's row is OPTgen's occupancy row. */
     SampledHistory history;

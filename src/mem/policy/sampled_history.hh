@@ -23,16 +23,30 @@ namespace garibaldi
  * sampleShift bits are zero.  Per sampled set, the history holds the
  * historyLen most recently accessed distinct lines, each with the PC
  * signature and stamp of its last access.  A set's entries sit in
- * slots [0, filled) of three rows of historyLen + 1 slots: lines, then
- * stamps, then 16-bit signatures, followed by rowBytes bytes the caller
- * owns (zeroed once), all in one block malloc'd on the set's first
- * access and never cleared.  A lookup scans the lines; a new line that
- * brings the set past historyLen entries evicts the one with the
- * minimum stamp and moves the last entry into its slot.  Stamps count
- * the set's accesses, so they are unique within a set and the stalest
- * entry does not depend on slot order.  The blocks come from the heap,
- * not one mapped array: a System built after this one reuses their
- * pages instead of faulting in fresh ones.
+ * slots [0, filled) of three rows of historyLen + 1 slots: 32-bit line
+ * keys, then 16-bit stamps, then 16-bit signatures (8 bytes a slot),
+ * followed by rowBytes bytes the caller owns (zeroed once), all in one
+ * block malloc'd on the set's first access and never cleared.  A
+ * lookup scans the keys; a new line that brings the set past
+ * historyLen entries evicts the one with the minimum stamp and moves
+ * the last entry into its slot.  The blocks come from the heap, not
+ * one mapped array: a System built after this one reuses their pages
+ * instead of faulting in fresh ones.
+ *
+ * A key is the line number without its low log2(numSets) bits.  Every
+ * line of one set, or of one bank's set in a banked cache, has the
+ * same set-index and bank-select bits there, so distinct lines keep
+ * distinct keys.  Line numbers are below 2^38, so a key fits 32 bits
+ * in any cache of at least 64 sets; a key that does not fit panics.
+ *
+ * Stamps count the set's accesses, so they are unique within a set.
+ * They are offsets of 16 bits: before the next one would overflow,
+ * the set re-ranks its entries.  Those at most R = 2 x historyLen
+ * accesses old keep their exact age; older ones keep their order and
+ * are given ages just beyond R.  Reuse is thus exact up to R and above
+ * R when the true reuse is, which is all Mockingjay's training (it
+ * clamps at R) and OPTgen (cold from historyLen on) read, and the
+ * stalest entry is the same as with unbounded stamps.
  *
  * Any line accessed in the set's last historyLen accesses is one of its
  * historyLen most recent distinct lines, so it is always still held.
@@ -54,7 +68,7 @@ class SampledHistory
     /**
      * @param num_sets sets of the cache
      * @param sample_shift sample one of every 2^sample_shift sets
-     * @param history_len entries kept per sampled set (> 0)
+     * @param history_len entries kept per sampled set (1..1024)
      * @param row_bytes size of the caller's per-set row
      */
     SampledHistory(std::uint32_t num_sets, unsigned sample_shift,
@@ -71,8 +85,8 @@ class SampledHistory
         return (set & ((1u << sampleShift) - 1)) == 0;
     }
 
-    /** Record an access to @p line by signature @p sig in sampled
-     *  set @p set. */
+    /** Record an access to @p line, which maps to sampled set @p set,
+     *  by signature @p sig. */
     Access access(std::uint32_t set, Addr line, std::uint16_t sig);
 
     /** The caller's row of sampled set @p set; valid once the set was
@@ -101,15 +115,23 @@ class SampledHistory
     }
 
   private:
+    /** Longest history whose re-ranked stamps (at most 3 x historyLen)
+     *  leave most of the 16-bit range for new ones. */
+    static constexpr std::uint32_t kMaxHistoryLen = 1024;
+
     /** All-zero is a set never accessed. */
     struct Set
     {
-        std::uint64_t *slots; //!< null until the first access
-        std::uint64_t tick;
+        std::uint32_t *slots; //!< null until the first access
+        std::uint64_t tick;   //!< accesses so far (OPTgen's clock)
         std::uint32_t filled;
+        std::uint16_t top;    //!< stamp of the latest access
     };
 
+    void rerank(Set &ss) const;
+
     unsigned sampleShift;
+    unsigned keyShift; //!< log2 of the cache's set count
     std::size_t numSampled;
     std::uint32_t historyLen;
     std::size_t rowOffset; //!< bytes before the caller's row

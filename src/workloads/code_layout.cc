@@ -7,6 +7,8 @@ namespace garibaldi
 
 CodeLayout::CodeLayout(const WorkloadParams &params, Pcg32 &rng,
                        Addr hot_line_base)
+    : memOdds(static_cast<float>(params.memProb)),
+      storeOdds(static_cast<float>(params.storeFraction))
 {
     if (params.numFunctions == 0)
         fatal("workload '", params.name, "' has no functions");
@@ -61,8 +63,6 @@ CodeLayout::CodeLayout(const WorkloadParams &params, Pcg32 &rng,
                     params.blockLoopIters);
             }
 
-            bi.memProb = static_cast<float>(params.memProb);
-            bi.storeFraction = static_cast<float>(params.storeFraction);
             bi.takenProb = rng.chance(params.branchNoise)
                 ? 0.5f
                 : static_cast<float>(params.takenBias);
@@ -76,6 +76,7 @@ CodeLayout::CodeLayout(const WorkloadParams &params, Pcg32 &rng,
         nextPc = (nextPc + kLineBytes - 1) & ~(kLineBytes - 1);
         functions.push_back(fi);
     }
+    blocks.shrink_to_fit();
 }
 
 } // namespace garibaldi

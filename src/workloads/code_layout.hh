@@ -24,12 +24,11 @@ struct BlockInfo
     Addr pc = 0;                //!< first instruction address
     std::uint16_t numInstrs = 0;
     DataClass cls = DataClass::Warm;
-    float memProb = 0;          //!< per-instruction memory-op odds
-    float storeFraction = 0;
     float takenProb = 0;        //!< terminating-branch bias
     std::uint16_t loopIters = 1; //!< consecutive executions of the block
     Addr preferredLine = 0;     //!< stable hot data line (vaddr)
 };
+static_assert(sizeof(BlockInfo) == 32, "BlockInfo must stay compact");
 
 /** One generated function. */
 struct FunctionInfo
@@ -71,6 +70,11 @@ class CodeLayout
         return static_cast<std::uint32_t>(blocks.size());
     }
 
+    /** Per-instruction memory-op odds, the same for every block. */
+    float memProb() const { return memOdds; }
+    /** Share of memory ops that are stores, the same for every block. */
+    float storeFraction() const { return storeOdds; }
+
     /** Total code bytes laid out. */
     Addr codeBytes() const { return nextPc - kCodeBase; }
 
@@ -88,7 +92,9 @@ class CodeLayout
     }
 
     std::vector<FunctionInfo> functions;
-    std::vector<BlockInfo> blocks;
+    std::vector<BlockInfo> blocks; //!< sized exactly
+    float memOdds;
+    float storeOdds;
     Addr nextPc = kCodeBase;
 };
 

@@ -60,7 +60,7 @@ SynthWorkload::enterHandler()
 void
 SynthWorkload::attachMemOp(MicroOp &op, const BlockInfo &bi)
 {
-    if (!walkRng.chance(bi.memProb))
+    if (!walkRng.chance(code->memProb()))
         return;
     Addr vaddr;
     if (bi.cls == DataClass::Hot &&
@@ -70,7 +70,7 @@ SynthWorkload::attachMemOp(MicroOp &op, const BlockInfo &bi)
         vaddr = data.sample(bi.cls, walkRng);
     }
     op.vaddr = vaddr;
-    op.mem = walkRng.chance(bi.storeFraction) ? MicroOp::MemKind::Store
+    op.mem = walkRng.chance(code->storeFraction()) ? MicroOp::MemKind::Store
                                               : MicroOp::MemKind::Load;
 }
 

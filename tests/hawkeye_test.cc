@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "mem/llc_bank_set.hh"
 #include "mem/policy/hawkeye.hh"
 #include "mem/policy/optgen.hh"
 #include "mem/policy/sampled_history.hh"
@@ -217,14 +218,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SampledHistory, EvictsStalestAndStaysBounded)
 {
     constexpr std::uint32_t kLen = 16;
-    constexpr std::uint32_t kSets = 3;
+    constexpr std::uint32_t kSets = 4;
     SampledHistory h(kSets, 0, kLen);
     std::map<Addr, std::uint64_t> last[kSets]; // line -> stamp
     Pcg32 rng(3, 7);
     std::uint64_t evictions = 0, reuses = 0;
     for (int i = 0; i < 5000; ++i) {
         std::uint32_t s = rng.nextBounded(kSets);
-        Addr line = rng.nextBounded(40);
+        Addr line = Addr{rng.nextBounded(40)} * kSets + s;
         // The signature names the line, so an eviction says which.
         SampledHistory::Access a =
             h.access(s, line, static_cast<std::uint16_t>(line));
@@ -255,6 +256,145 @@ TEST(SampledHistory, EvictsStalestAndStaysBounded)
     }
     EXPECT_GT(evictions, 100u);
     EXPECT_GT(reuses, 100u);
+}
+
+/**
+ * The 16-bit stamps against 64-bit ones: per set, a reference keeps
+ * every held line's last stamp and signature under an unbounded clock
+ * and evicts the minimum stamp above historyLen lines.  Each set sees
+ * over 2^18 accesses, so its stamps are re-ranked four times.  A
+ * skewed pool a little smaller than the history gives reuse far beyond
+ * R = 2 x historyLen; a 4% scan of new lines forces evictions.  The
+ * evicted signatures must follow the reference's order exactly, and
+ * reuse must match up to R and stay above R beyond it.
+ */
+TEST(SampledHistory, MatchesWideStampReference)
+{
+    for (std::uint32_t ways : {12u, 48u}) {
+        SCOPED_TRACE(ways);
+        const std::uint32_t len = kHistoryAssocMult * ways;
+        const std::uint64_t r = 2 * len;
+        const std::uint32_t pool = len - len / 8;
+        constexpr std::uint32_t kSets = 2;
+        SampledHistory h(kSets, 0, len);
+        struct Held
+        {
+            std::uint64_t stamp;
+            std::uint16_t sig;
+        };
+        std::map<Addr, Held> held[kSets];
+        std::map<std::uint64_t, Addr> byStamp[kSets];
+        std::uint64_t tick[kSets] = {};
+        std::uint32_t nextScan[kSets] = {};
+        Pcg32 rng(17, ways);
+        std::uint64_t evictions = 0, exact = 0, beyond = 0;
+        for (int i = 0; i < 2 * 270000; ++i) {
+            std::uint32_t s = i & 1;
+            // Ids below pool are the skewed hot pool, the rest scan.
+            std::uint32_t id;
+            if (rng.nextBounded(100) < 4) {
+                id = pool + nextScan[s]++;
+            } else {
+                double u = rng.nextDouble();
+                id = static_cast<std::uint32_t>(pool * u * u * u);
+            }
+            Addr line = Addr{id} * kSets + s;
+            auto sig = static_cast<std::uint16_t>(id);
+            SampledHistory::Access a = h.access(s, line, sig);
+            std::uint64_t now = ++tick[s];
+            ASSERT_EQ(a.now, now);
+
+            auto it = held[s].find(line);
+            if (it != held[s].end()) {
+                std::uint64_t reuse = now - it->second.stamp;
+                if (reuse <= r) {
+                    ASSERT_EQ(a.reuse, reuse) << "access " << i;
+                    exact += reuse > len;
+                } else {
+                    ASSERT_GT(a.reuse, r) << "access " << i;
+                    ++beyond;
+                }
+                ASSERT_EQ(a.prevSig, it->second.sig);
+                byStamp[s].erase(it->second.stamp);
+            } else {
+                ASSERT_EQ(a.reuse, 0u) << "access " << i;
+            }
+            held[s][line] = {now, sig};
+            byStamp[s][now] = line;
+            if (held[s].size() > len) {
+                auto stalest = byStamp[s].begin();
+                ASSERT_TRUE(a.evicted) << "access " << i;
+                ASSERT_EQ(a.evictedSig, held[s][stalest->second].sig)
+                    << "access " << i;
+                held[s].erase(stalest->second);
+                byStamp[s].erase(stalest);
+                ++evictions;
+            } else {
+                ASSERT_FALSE(a.evicted) << "access " << i;
+            }
+            ASSERT_EQ(h.filled(s), held[s].size());
+        }
+        EXPECT_GT(evictions, 10000u);
+        EXPECT_GT(exact, 1000u);
+        EXPECT_GT(beyond, 1000u);
+    }
+}
+
+/**
+ * Keys on banked geometries: 4 banks of 64 sets with the bank-select
+ * field at line bit 0, inside the set index (bit 3) and above it
+ * (bit 8).  Every line of one bank's set that differs from a base line
+ * in one bit outside the set and bank fields, up to bit 37, must be
+ * told apart from the others.
+ */
+TEST(SampledHistory, KeysDistinctOnBankedGeometries)
+{
+    constexpr std::uint32_t kBanks = 4;
+    for (std::uint32_t shift : {0u, 3u, 8u}) {
+        SCOPED_TRACE(shift);
+        CacheParams p;
+        p.sizeBytes = kBanks * 64 * 4 * kLineBytes;
+        p.assoc = 4;
+        LlcBankSet llc(p, kBanks, shift);
+        ASSERT_EQ(llc.setsPerBank(), 64u);
+        const std::uint32_t bank = 2, set = 37;
+        auto inBankSet = [&](Addr ln) {
+            Addr la = ln << kLineShift;
+            return llc.bankOf(la) == bank && llc.bankFor(la).setOf(la) == set;
+        };
+        Addr base = 0;
+        while (!inBankSet(base))
+            ++base;
+        std::vector<Addr> lines{base};
+        for (unsigned bit = 0; bit < 38; ++bit)
+            if (inBankSet(base ^ (Addr{1} << bit)))
+                lines.push_back(base ^ (Addr{1} << bit));
+        ASSERT_EQ(lines.size(), 1u + 38 - 6 - 2);
+        ASSERT_EQ(lines.back(), base ^ (Addr{1} << 37));
+
+        SampledHistory h(llc.setsPerBank(), 0, 64);
+        for (Addr ln : lines)
+            EXPECT_EQ(h.access(set, ln, 0).reuse, 0u) << ln;
+        for (Addr ln : lines)
+            EXPECT_EQ(h.access(set, ln, 0).reuse, lines.size()) << ln;
+        EXPECT_EQ(h.filled(set), lines.size());
+    }
+}
+
+TEST(SampledHistoryDeathTest, KeyWiderThan32BitsPanics)
+{
+    SampledHistory h(4, 0, 8);
+    h.access(0, (Addr{1} << 34) - 4, 0); // key 2^32 - 1 fits
+    EXPECT_DEATH(h.access(0, Addr{1} << 34, 0), "wider than 32 bits");
+}
+
+TEST(SampledHistoryDeathTest, RejectsHistoryLongerThan1024)
+{
+    // Re-ranked stamps reach 3 x historyLen and must leave most of the
+    // 16-bit range for new ones.
+    SampledHistory ok(4, 0, 1024);
+    EXPECT_EXIT({ SampledHistory h(4, 0, 1025); },
+                testing::ExitedWithCode(1), "1..1024");
 }
 
 TEST(SampledHistory, CallerRowStartsZeroed)

@@ -243,7 +243,7 @@ TEST(Mockingjay, SampledCacheMatchesReferenceModel)
         // 48 keys per set: more than historyLen, so entries are evicted
         // as well as re-found.
         MemAccess a = access(pcs[rng.nextBounded(6)],
-                             Addr{set} * 64 + rng.nextBounded(48));
+                             Addr{rng.nextBounded(48)} * 16 + set);
         a.isPrefetch = rng.chance(0.1);
         p.onAccess(set, a, false);
         ref.access(set, a);

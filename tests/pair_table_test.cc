@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hh"
 #include "garibaldi/dppn_table.hh"
 #include "garibaldi/helper_table.hh"
 #include "garibaldi/pair_table.hh"
@@ -433,6 +434,103 @@ TEST(PairTable, QueryUnknownLineNotFound)
     DppnTable dppn(gp.dppnEntries);
     PairTable pt(gp, dppn);
     EXPECT_FALSE(pt.query(0x777000, 0).found);
+}
+
+std::uint64_t
+fnv1a(std::uint64_t h, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/**
+ * Drive a small pair table (and its D_PPN table) with a random mix of
+ * data accesses, instruction misses, queries and prefetch-candidate
+ * reads, folding every answer and the final entries into an FNV-1a
+ * hash.  The pool has four instruction lines per entry and more data
+ * pages than D_PPN entries, so collisions, field replacement, bypass
+ * and unresolvable fields all occur.
+ */
+std::uint64_t
+pairTableTraceHash(unsigned k)
+{
+    GaribaldiParams gp;
+    gp.pairTableEntries = 128;
+    gp.dppnEntries = 64;
+    gp.k = k;
+    DppnTable dppn(gp.dppnEntries);
+    PairTable pt(gp, dppn);
+    Pcg32 rng(41, k);
+    std::uint64_t h = 14695981039346656037ull;
+    unsigned color = 0;
+    std::vector<Addr> out;
+    for (int i = 0; i < 60000; ++i) {
+        if (rng.nextBounded(2048) == 0)
+            color = (color + 1) & 7;
+        Addr il = Addr{rng.nextBounded(512)} << kLineShift;
+        switch (rng.nextBounded(8)) {
+          case 0:
+            pt.onInstrMiss(il);
+            break;
+          case 1: {
+              PairQueryResult q = pt.query(il, color);
+              h = fnv1a(h, q.found ? 1 + q.agedCost : 0);
+              break;
+          }
+          case 2:
+            out.clear();
+            pt.collectPrefetchCandidates(il, out);
+            h = fnv1a(h, out.size());
+            for (Addr a : out)
+                h = fnv1a(h, a);
+            break;
+          default: {
+              Addr dl = (Addr{rng.nextBounded(96)} << kPageShift) |
+                        (Addr{rng.nextBounded(4)} << kLineShift);
+              pt.updateOnDataAccess(il, dl, rng.chance(0.6), color,
+                                    rng.nextBounded(48));
+              break;
+          }
+        }
+    }
+    for (Addr n = 0; n < 512; ++n) {
+        PairTable::DebugEntry d = pt.debugEntry(n << kLineShift);
+        h = fnv1a(h, (d.valid ? 1u : 0u) | (d.tagMatch ? 2u : 0u));
+        h = fnv1a(h, d.missCost);
+        h = fnv1a(h, d.color);
+        for (const auto &f : d.fields) {
+            h = fnv1a(h, (f.valid ? 1u : 0u) | (f.oldBit ? 2u : 0u));
+            h = fnv1a(h, f.sctr);
+            h = fnv1a(h, f.dlpa);
+        }
+    }
+    StatSet s = pt.stats();
+    for (const char *stat : {"collisions_preserved", "collisions_replaced",
+                             "field_records", "field_bypasses"})
+        EXPECT_GT(s.get(stat), 0.0) << stat << " at k = " << k;
+    for (const auto &[name, value] : s.entries())
+        h = fnv1a(h, static_cast<std::uint64_t>(value));
+    return h;
+}
+
+// Recorded from the table with eight DL_PA fields in every entry, before
+// entries were sized by k.
+TEST(PairTable, DecisionTracePinnedK1)
+{
+    EXPECT_EQ(pairTableTraceHash(1), 15013776782783651577ull);
+}
+
+TEST(PairTable, DecisionTracePinnedK2)
+{
+    EXPECT_EQ(pairTableTraceHash(2), 11572105265139445086ull);
+}
+
+TEST(PairTable, DecisionTracePinnedK8)
+{
+    EXPECT_EQ(pairTableTraceHash(8), 168262513161700521ull);
 }
 
 TEST(PairTable, RejectsOversizedK)
