@@ -35,7 +35,8 @@ BenchArgs
 BenchArgs::from(const ArgParser &args, bool sweep)
 {
     BenchArgs b;
-    b.cores = static_cast<std::uint32_t>(args.getUnsigned("cores"));
+    b.cores = static_cast<std::uint32_t>(
+        args.getUnsigned("cores", std::numeric_limits<std::uint32_t>::max()));
     b.warmup = args.getUnsigned("warmup");
     b.detailed = args.getUnsigned("instr");
     // Rejected here, on the main thread before any header, rather than
@@ -43,12 +44,14 @@ BenchArgs::from(const ArgParser &args, bool sweep)
     if (b.detailed == 0)
         fatal("--instr must be non-zero: the measured window is what "
               "every reported number comes from");
-    b.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+    b.seed = args.getUnsigned("seed");
     audit::applyAuditArg(args);
     b.full = args.getFlag("full");
     b.csv = args.getFlag("csv");
     if (sweep) {
-        b.jobs = static_cast<std::uint32_t>(args.getUnsigned("jobs"));
+        b.jobs = static_cast<std::uint32_t>(
+            args.getUnsigned("jobs",
+                             std::numeric_limits<std::uint32_t>::max()));
         b.progress = args.getFlag("progress");
     }
     return b;

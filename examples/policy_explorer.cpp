@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "common/cli.hh"
 #include "common/logging.hh"
@@ -45,14 +46,15 @@ main(int argc, char **argv)
     args.addFlag("all-stats", "dump every counter");
     args.parse(argc, argv);
 
-    std::uint32_t cores =
-        static_cast<std::uint32_t>(args.getUnsigned("cores"));
+    std::uint32_t cores = static_cast<std::uint32_t>(
+        args.getUnsigned("cores", std::numeric_limits<std::uint32_t>::max()));
     SystemConfig cfg = defaultConfig(cores);
     cfg.llcPolicy = parsePolicyKind(args.getString("policy"));
     cfg.garibaldiEnabled = args.getFlag("garibaldi");
     cfg.llcInstrOracle = args.getFlag("oracle");
-    cfg.llcInstrPartitionWays =
-        static_cast<std::uint32_t>(args.getUnsigned("partition"));
+    cfg.llcInstrPartitionWays = static_cast<std::uint32_t>(
+        args.getUnsigned("partition",
+                         std::numeric_limits<std::uint32_t>::max()));
     const std::string &tm = args.getString("threshold-mode");
     if (tm == "fixed")
         cfg.garibaldi.thresholdMode = ThresholdMode::Fixed;
@@ -61,13 +63,16 @@ main(int argc, char **argv)
     else if (tm != "dynamic")
         fatal("--threshold-mode '", tm, "' must be one of "
               "dynamic|fixed|all");
-    cfg.garibaldi.fixedThresholdDelta =
-        static_cast<int>(args.getInt("threshold-delta"));
-    cfg.garibaldi.k = static_cast<unsigned>(args.getUnsigned("k"));
-    cfg.garibaldi.qbsMaxAttempts =
-        static_cast<unsigned>(args.getUnsigned("qbs-attempts"));
-    cfg.garibaldi.pairTableEntries =
-        static_cast<std::uint32_t>(args.getUnsigned("pair-entries"));
+    cfg.garibaldi.fixedThresholdDelta = static_cast<int>(
+        args.getInt("threshold-delta", std::numeric_limits<int>::min(),
+                    std::numeric_limits<int>::max()));
+    cfg.garibaldi.k = static_cast<unsigned>(
+        args.getUnsigned("k", std::numeric_limits<unsigned>::max()));
+    cfg.garibaldi.qbsMaxAttempts = static_cast<unsigned>(args.getUnsigned(
+        "qbs-attempts", std::numeric_limits<unsigned>::max()));
+    cfg.garibaldi.pairTableEntries = static_cast<std::uint32_t>(
+        args.getUnsigned("pair-entries",
+                         std::numeric_limits<std::uint32_t>::max()));
 
     ExperimentContext ctx(cfg, args.getUnsigned("warmup"),
                           args.getUnsigned("instr"));

@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "common/audit.hh"
 #include "common/cli.hh"
@@ -41,7 +42,7 @@ main(int argc, char **argv)
     audit::applyAuditArg(args);
 
     std::uint32_t cores = static_cast<std::uint32_t>(
-        args.getUnsigned("cores"));
+        args.getUnsigned("cores", std::numeric_limits<std::uint32_t>::max()));
     SystemConfig base = defaultConfig(cores);
     ExperimentContext ctx(base, args.getUnsigned("warmup"),
                           args.getUnsigned("instr"));

@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "common/cli.hh"
 #include "common/table_printer.hh"
@@ -31,8 +32,8 @@ main(int argc, char **argv)
     args.addInt("instr", 250000, "measured instructions per core");
     args.parse(argc, argv);
 
-    std::uint32_t cores =
-        static_cast<std::uint32_t>(args.getUnsigned("cores"));
+    std::uint32_t cores = static_cast<std::uint32_t>(
+        args.getUnsigned("cores", std::numeric_limits<std::uint32_t>::max()));
     SystemConfig base = defaultConfig(cores);
     ExperimentContext ctx(base, args.getUnsigned("warmup"),
                           args.getUnsigned("instr"));

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <limits>
 
 #include "common/cli.hh"
 #include "sim/experiment.hh"
@@ -33,7 +34,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     std::uint32_t cores = static_cast<std::uint32_t>(
-        args.getUnsigned("cores"));
+        args.getUnsigned("cores", std::numeric_limits<std::uint32_t>::max()));
     SystemConfig base = defaultConfig(cores);
 
     // Declare the sweep: every combination of these axis values
@@ -51,7 +52,8 @@ main(int argc, char **argv)
                           args.getUnsigned("instr"));
     SweepRunner runner(ctx);
     SweepOptions opts;
-    opts.jobs = static_cast<unsigned>(args.getUnsigned("jobs"));
+    opts.jobs = static_cast<unsigned>(
+        args.getUnsigned("jobs", std::numeric_limits<unsigned>::max()));
     opts.progress = args.getFlag("progress");
     ResultsTable results = runner.run(spec, opts);
 

@@ -31,8 +31,7 @@ main(int argc, char **argv)
     args.parse(argc, argv);
 
     WorkloadParams params = workloadByName(args.getString("workload"));
-    SynthWorkload w(params,
-                    static_cast<std::uint64_t>(args.getInt("seed")),
+    SynthWorkload w(params, args.getUnsigned("seed"),
                     SynthWorkload::makeLayout(params));
 
     std::printf("workload: %s (%s)\n", params.name.c_str(),

@@ -30,7 +30,10 @@ rejected=("fig11_end_to_end --mixes -1"
           "policy_explorer --policy ship"
           "fig11_end_to_end --instr 0"
           "fig11_end_to_end --llc-banks 4"
-          "fig04_access_patterns --jobs 2")
+          "fig04_access_patterns --jobs 2"
+          "fig12_per_workload --seed -1"
+          "table2_storage --cores 4294967297"
+          "policy_explorer --threshold-delta 4294967312")
 for cmd in "${rejected[@]}"; do
   read -r -a argv <<< "$cmd"
   status=0

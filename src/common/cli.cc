@@ -162,21 +162,25 @@ ArgParser::parse(int argc, const char *const *argv)
 }
 
 std::int64_t
-ArgParser::getInt(const std::string &name) const
+ArgParser::getInt(const std::string &name, std::int64_t min,
+                  std::int64_t max) const
 {
-    return std::strtoll(find(name, Kind::Int)->value.c_str(), nullptr, 0);
+    std::int64_t v =
+        std::strtoll(find(name, Kind::Int)->value.c_str(), nullptr, 0);
+    if (v < min || v > max) {
+        std::fprintf(stderr, "error: --%s must be %s %lld (got %lld)\n",
+                     name.c_str(), v < min ? ">=" : "<=",
+                     static_cast<long long>(v < min ? min : max),
+                     static_cast<long long>(v));
+        std::exit(1);
+    }
+    return v;
 }
 
 std::uint64_t
-ArgParser::getUnsigned(const std::string &name) const
+ArgParser::getUnsigned(const std::string &name, std::int64_t max) const
 {
-    std::int64_t v = getInt(name);
-    if (v < 0) {
-        std::fprintf(stderr, "error: --%s must be >= 0 (got %lld)\n",
-                     name.c_str(), static_cast<long long>(v));
-        std::exit(1);
-    }
-    return static_cast<std::uint64_t>(v);
+    return static_cast<std::uint64_t>(getInt(name, 0, max));
 }
 
 double

@@ -9,6 +9,7 @@
 #define GARIBALDI_COMMON_CLI_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,14 +46,27 @@ class ArgParser
      */
     void parse(int argc, const char *const *argv);
 
-    std::int64_t getInt(const std::string &name) const;
     /**
-     * An integer option used as a count or length.  A negative value
-     * prints "error: --<name> must be >= 0 (got <v>)" and exits 1,
-     * like the parse errors above, instead of wrapping to a huge
-     * unsigned value.
+     * An integer option within [@p min, @p max], the range of the type
+     * the caller stores it in.  A value outside prints
+     * "error: --<name> must be >= <min> (got <v>)" or
+     * "error: --<name> must be <= <max> (got <v>)" and exits 1, like
+     * the parse errors above, instead of being cut down to that type.
      */
-    std::uint64_t getUnsigned(const std::string &name) const;
+    std::int64_t
+    getInt(const std::string &name,
+           std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+           std::int64_t max = std::numeric_limits<std::int64_t>::max())
+        const;
+    /**
+     * An integer option used as a count, length or seed: getInt with
+     * the range [0, @p max], so a negative value is rejected instead
+     * of wrapping to a huge unsigned value.
+     */
+    std::uint64_t
+    getUnsigned(const std::string &name,
+                std::int64_t max = std::numeric_limits<std::int64_t>::max())
+        const;
     double getDouble(const std::string &name) const;
     const std::string &getString(const std::string &name) const;
     bool getFlag(const std::string &name) const;

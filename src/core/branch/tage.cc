@@ -2,18 +2,9 @@
 
 #include "common/audit.hh"
 #include "common/intmath.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(TagePredictor,
-    SIM_STAT("lookups", counter),
-    SIM_STAT("correct", counter),
-    SIM_STAT("accuracy", rate("correct", "lookups")),
-    SIM_STAT("allocations", counter),
-    SIM_STAT("indirect_lookups", counter),
-    SIM_STAT("indirect_correct", counter));
 
 constexpr std::array<unsigned, TagePredictor::kNumTables>
     TagePredictor::kHistLen;
@@ -180,8 +171,7 @@ TagePredictor::stats() const
     StatSet s;
     s.add("lookups", static_cast<double>(nLookups));
     s.add("correct", static_cast<double>(nCorrect));
-    s.add("accuracy",
-          nLookups ? static_cast<double>(nCorrect) / nLookups : 0.0);
+    s.addRate("accuracy", "correct", {"lookups"});
     s.add("allocations", static_cast<double>(nAllocs));
     s.add("indirect_lookups", static_cast<double>(nIndirect));
     s.add("indirect_correct", static_cast<double>(nIndirectCorrect));

@@ -2,20 +2,9 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(TlbHierarchy,
-    SIM_STAT("itlb_hits", counter),
-    SIM_STAT("itlb_misses", counter),
-    SIM_STAT("dtlb_hits", counter),
-    SIM_STAT("dtlb_misses", counter),
-    SIM_STAT("stlb_hits", counter),
-    SIM_STAT("stlb_misses", counter),
-    SIM_STAT("instr_walks", counter),
-    SIM_STAT("data_walks", counter));
 
 Tlb::Tlb(std::uint32_t entries, std::uint32_t assoc_)
     : assoc(assoc_)

@@ -1,22 +1,9 @@
 #include "garibaldi/garibaldi.hh"
 
-#include "common/stat_kind.hh"
 #include "obs/trace.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(Garibaldi,
-    SIM_STAT("protection_grants", counter),
-    SIM_STAT("protection_denials", counter),
-    SIM_STAT("pair_prefetches", counter),
-    SIM_STAT("paired_updates", counter),
-    SIM_STAT("unpaired_data", counter),
-    SIM_STAT("table_accesses", counter),
-    SIM_STAT("helper.hits", counter),
-    SIM_STAT("helper.misses", counter),
-    SIM_STAT("helper.coverage",
-             rate("helper.hits", "helper.hits+helper.misses")));
 
 Garibaldi::Garibaldi(const GaribaldiParams &params_,
                      std::uint32_t num_cores)
@@ -162,8 +149,8 @@ Garibaldi::stats() const
     }
     s.add("helper.hits", hits);
     s.add("helper.misses", misses);
-    s.add("helper.coverage",
-          hits + misses > 0 ? hits / (hits + misses) : 0.0);
+    s.addRate("helper.coverage", "helper.hits",
+              {"helper.hits", "helper.misses"});
     return s;
 }
 

@@ -56,9 +56,8 @@ class Garibaldi : public LlcCompanion
 
     /**
      * Aggregate module statistics (feeds the energy model too).
-     * Gauge entries (the threshold unit's live readings) are declared
-     * as such via SIM_STATS, so windowing keeps their end-of-window
-     * values without any caller-side name list.
+     * The threshold unit's live readings are added as gauges, so
+     * windowing keeps their end-of-window values.
      */
     StatSet stats() const;
 

@@ -2,17 +2,10 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 #include "garibaldi/params.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(HelperTable,
-    SIM_STAT("records", counter),
-    SIM_STAT("hits", counter),
-    SIM_STAT("misses", counter),
-    SIM_STAT("coverage", rate("hits", "hits+misses")));
 
 HelperTable::HelperTable(std::uint32_t entries, std::uint32_t assoc_)
     : assoc(assoc_)
@@ -91,9 +84,7 @@ HelperTable::stats() const
     s.add("records", static_cast<double>(nRecords));
     s.add("hits", static_cast<double>(nHits));
     s.add("misses", static_cast<double>(nMisses));
-    s.add("coverage", nHits + nMisses
-                          ? static_cast<double>(nHits) / (nHits + nMisses)
-                          : 0.0);
+    s.addRate("coverage", "hits", {"hits", "misses"});
     return s;
 }
 

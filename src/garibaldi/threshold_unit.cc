@@ -3,19 +3,9 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(ThresholdUnit,
-    SIM_STAT("threshold", gauge),
-    SIM_STAT("color", gauge),
-    SIM_STAT("rotations", counter),
-    SIM_STAT("threshold_ups", counter),
-    SIM_STAT("threshold_downs", counter),
-    SIM_STAT("last_pdmiss", gauge),
-    SIM_STAT("last_llc_miss_rate", gauge));
 
 ThresholdUnit::ThresholdUnit(const GaribaldiParams &params_,
                              std::uint32_t num_cores)
@@ -117,13 +107,13 @@ StatSet
 ThresholdUnit::stats() const
 {
     StatSet s;
-    s.add("threshold", static_cast<double>(threshold()));
-    s.add("color", static_cast<double>(currentColor));
+    s.addGauge("threshold", static_cast<double>(threshold()));
+    s.addGauge("color", static_cast<double>(currentColor));
     s.add("rotations", static_cast<double>(nRotations));
     s.add("threshold_ups", static_cast<double>(nThresholdUps));
     s.add("threshold_downs", static_cast<double>(nThresholdDowns));
-    s.add("last_pdmiss", lastPdMiss);
-    s.add("last_llc_miss_rate", lastMissRate);
+    s.addGauge("last_pdmiss", lastPdMiss);
+    s.addGauge("last_llc_miss_rate", lastMissRate);
     return s;
 }
 

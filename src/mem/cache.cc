@@ -6,35 +6,9 @@
 #include "common/host_prefetch.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(CacheStats,
-    SIM_STAT("accesses", counter),
-    SIM_STAT("hits", counter),
-    SIM_STAT("misses", counter),
-    SIM_STAT("hit_rate", rate("hits", "accesses")),
-    SIM_STAT("instr_accesses", counter),
-    SIM_STAT("instr_hits", counter),
-    SIM_STAT("instr_misses", counter),
-    SIM_STAT("instr_miss_rate", rate("instr_misses", "instr_accesses")),
-    SIM_STAT("writebacks_out", counter),
-    SIM_STAT("evictions", counter),
-    SIM_STAT("instr_evictions", counter),
-    SIM_STAT("prefetch_inserts", counter),
-    SIM_STAT("prefetch_useful", counter),
-    SIM_STAT("mshr_merges", counter),
-    SIM_STAT("qbs_queries", counter),
-    SIM_STAT("qbs_protections", counter),
-    SIM_STAT_GATED("bank_reservations", counter, "contentionModeled"),
-    SIM_STAT_GATED("bank_backfills", counter, "contentionModeled"),
-    SIM_STAT_GATED("queued_accesses", counter, "contentionModeled"),
-    SIM_STAT_GATED("tag_queue_cycles", counter, "contentionModeled"),
-    SIM_STAT_GATED("data_queue_cycles", counter, "contentionModeled"),
-    SIM_STAT_GATED("queue_cycles", counter, "contentionModeled"),
-    SIM_STAT_GATED("mshr_stall_cycles", counter, "contentionModeled"));
 
 void
 CacheStats::accumulate(const CacheStats &other)
@@ -70,11 +44,11 @@ CacheStats::toStatSet() const
     s.add("accesses", static_cast<double>(accesses));
     s.add("hits", static_cast<double>(hits));
     s.add("misses", static_cast<double>(misses));
-    s.add("hit_rate", hitRate());
+    s.addRate("hit_rate", "hits", {"accesses"});
     s.add("instr_accesses", static_cast<double>(instrAccesses));
     s.add("instr_hits", static_cast<double>(instrHits));
     s.add("instr_misses", static_cast<double>(instrMisses));
-    s.add("instr_miss_rate", instrMissRate());
+    s.addRate("instr_miss_rate", "instr_misses", {"instr_accesses"});
     s.add("writebacks_out", static_cast<double>(writebacksOut));
     s.add("evictions", static_cast<double>(evictions));
     s.add("instr_evictions", static_cast<double>(instrEvictions));

@@ -111,16 +111,6 @@ struct CacheStats
      */
     bool contentionModeled = false;
 
-    double hitRate() const
-    {
-        return accesses ? static_cast<double>(hits) / accesses : 0.0;
-    }
-    double instrMissRate() const
-    {
-        return instrAccesses
-            ? static_cast<double>(instrMisses) / instrAccesses : 0.0;
-    }
-
     /** Add every counter of @p other into this (bank aggregation). */
     void accumulate(const CacheStats &other);
 

@@ -6,55 +6,9 @@
 #include "common/audit.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(Dram,
-    SIM_STAT("reads", counter),
-    SIM_STAT("writes", counter),
-    SIM_STAT("queued_cycles", counter),
-    SIM_STAT("backfills", counter),
-    SIM_STAT("backfill_queued_cycles", counter),
-    SIM_STAT("avg_queue_delay", rate("queued_cycles", "reads+writes")),
-    SIM_STAT_GATED("row_hits", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_misses", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_conflicts", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_accesses", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_rate", rate("row_hits", "row_accesses"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_hit_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_hit_latency",
-                   rate("row_hit_lat_cycles", "row_hit_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_miss_latency",
-                   rate("row_miss_lat_cycles", "row_miss_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_conflict_latency",
-                   rate("row_conflict_lat_cycles", "row_conflict_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("read_lat_cycles", counter, "timingEnabled"),
-    SIM_STAT_GATED("avg_read_latency", rate("read_lat_cycles", "reads"),
-                   "timingEnabled"),
-    SIM_STAT_GATED("turnarounds", counter, "turnaroundOn"),
-    SIM_STAT_GATED("turnaround_cycles", counter, "turnaroundOn"),
-    SIM_STAT_GATED("refresh_blocked", counter, "refreshOn"),
-    SIM_STAT_GATED("refresh_stall_cycles", counter, "refreshOn"));
 
 namespace
 {
@@ -173,7 +127,6 @@ Dram::request(Addr line_addr, bool is_write, Cycle now)
     }
     busy = grant + params.serviceCycles;
     queuedCycles += queue;
-    queueDelay.add(queue);
     // Both stall books are components of the queue delay a requester
     // observed, so their sums must stay subsets of queued_cycles or the
     // avg_queue_delay identity silently breaks.
@@ -259,10 +212,9 @@ Dram::stats() const
     s.add("backfills", static_cast<double>(nBackfills));
     s.add("backfill_queued_cycles",
           static_cast<double>(backfillQueuedCycles));
-    // Every access (including zero-delay backfills) feeds the
-    // histogram, so this mean is queued_cycles / (reads + writes) —
-    // the same identity the simulator's windowed recompute uses.
-    s.add("avg_queue_delay", queueDelay.mean());
+    // Every access (including zero-delay backfills) queues, so the
+    // mean delay is queued_cycles over reads + writes.
+    s.addRate("avg_queue_delay", "queued_cycles", {"reads", "writes"});
     // Timing-leg stats export only when their model is on, so flat-
     // latency runs keep the historical stat surface byte-for-byte
     // (the PR-3 contentionModeled discipline).
@@ -275,7 +227,7 @@ Dram::stats() const
         s.add("row_misses", misses);
         s.add("row_conflicts", conflicts);
         s.add("row_accesses", accesses);
-        s.add("row_hit_rate", accesses > 0 ? hits / accesses : 0.0);
+        s.addRate("row_hit_rate", "row_hits", {"row_accesses"});
         static const char *const kLegName[3] = {"hit", "miss",
                                                 "conflict"};
         for (int leg = 0; leg < 3; ++leg) {
@@ -285,31 +237,26 @@ Dram::stats() const
             s.add("row_" + p + "_lat_cycles",
                   static_cast<double>(legReadCycles[leg]));
             // Device-leg latency per leg (queue excluded; see
-            // rowLegLatency); the windowed recompute rebuilds this
-            // from the two raw counters above.
-            s.add("avg_row_" + p + "_latency", legLatency[leg].mean());
-            // Percentile landmarks of the same distribution.  The
-            // _p50/_p95/_p99 suffix marks them as gauges for anything
-            // windowing the stat set (percentiles of a cumulative
-            // histogram cannot be differenced across snapshots).
+            // rowLegLatency).
+            s.addRate("avg_row_" + p + "_latency",
+                      "row_" + p + "_lat_cycles", {"row_" + p + "_reads"});
+            // Percentile landmarks of the same distribution: gauges,
+            // since percentiles of a cumulative histogram cannot be
+            // differenced across snapshots.
             QuantileSummary q = legLatency[leg].quantiles();
-            s.add("row_" + p + "_lat_p50",
-                  static_cast<double>(q.p50));
-            s.add("row_" + p + "_lat_p95",
-                  static_cast<double>(q.p95));
-            s.add("row_" + p + "_lat_p99",
-                  static_cast<double>(q.p99));
+            s.addGauge("row_" + p + "_lat_p50",
+                       static_cast<double>(q.p50));
+            s.addGauge("row_" + p + "_lat_p95",
+                       static_cast<double>(q.p95));
+            s.addGauge("row_" + p + "_lat_p99",
+                       static_cast<double>(q.p99));
         }
     }
     if (params.timingEnabled()) {
         // Full read latency (queue + device): the end-to-end view the
         // per-leg device books deliberately exclude queue from.
         s.add("read_lat_cycles", static_cast<double>(readLatCycles));
-        s.add("avg_read_latency",
-              nReads > 0
-                  ? static_cast<double>(readLatCycles) /
-                        static_cast<double>(nReads)
-                  : 0.0);
+        s.addRate("avg_read_latency", "read_lat_cycles", {"reads"});
     }
     if (params.turnaroundOn()) {
         s.add("turnarounds", static_cast<double>(nTurnarounds));

@@ -204,7 +204,6 @@ class Dram
     std::uint64_t turnaroundStallCycles = 0;
     std::uint64_t nRefreshBlocked = 0;
     std::uint64_t refreshStallCycles = 0;
-    Histogram queueDelay{8, 64};
     Histogram legLatency[3] = {{16, 32}, {16, 32}, {16, 32}};
 };
 

@@ -2,7 +2,6 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 #include "obs/trace.hh"
 
 namespace garibaldi
@@ -17,10 +16,6 @@ constexpr Cycle kMshrFullPenalty = 8;
 constexpr std::uint32_t kInstrCritEntries = 32768;
 
 } // namespace
-
-SIM_STATS(MemoryHierarchy,
-    SIM_STAT_GATED("llc.banks", gauge, "numBanks"),
-    SIM_STAT("mshr_stalls", counter));
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
     : params(params_)
@@ -476,7 +471,7 @@ MemoryHierarchy::stats() const
     s.addAll("l2.", l2_sum.toStatSet());
     s.addAll("llc.", llcSet->stats().toStatSet());
     if (llcSet->numBanks() > 1) {
-        s.add("llc.banks", static_cast<double>(llcSet->numBanks()));
+        s.addGauge("llc.banks", static_cast<double>(llcSet->numBanks()));
         for (std::uint32_t b = 0; b < llcSet->numBanks(); ++b)
             s.addAll("llc.bank" + std::to_string(b) + ".",
                      llcSet->bank(b).stats().toStatSet());

@@ -49,6 +49,7 @@ struct HierarchyParams
     CacheParams l2;
     CacheParams llc;
     DramParams dram;
+    // Prefetchers (Table 1: I-SPY at L1I, next-line L1D, GHB L2).
     bool l1dNextLinePrefetcher = true;
     bool l2GhbPrefetcher = true;
     bool l1iIspyPrefetcher = true;

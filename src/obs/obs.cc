@@ -7,13 +7,9 @@
 
 #include "common/cli.hh"
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
-
-SIM_STATS(ObsSubsystem,
-    SIM_STAT_GATED("obs.telemetry.windows", counter, "telemetry_"));
 
 void
 ObsConfig::validate() const

@@ -1,10 +1,8 @@
 #include "sim/metrics.hh"
 
 #include <cmath>
-#include <cstring>
 
 #include "common/logging.hh"
-#include "common/stat_kind.hh"
 
 namespace garibaldi
 {
@@ -52,102 +50,28 @@ weightedSpeedup(const std::vector<double> &shared_ipc,
     return sum;
 }
 
-double
-safeRate(double numerator, double denominator)
-{
-    return denominator > 0 ? numerator / denominator : 0.0;
-}
-
-namespace
-{
-
-/**
- * Sum a '+'-joined counter expression from a rate declaration under
- * the addAll prefix of the exported rate name ("dram." for
- * dram.avg_queue_delay -> dram.queued_cycles over dram.reads +
- * dram.writes).  Absent names read as 0 so a gated counter missing
- * from a model-off surface never faults the recompute.
- */
-double
-sumCounters(const StatSet &s, const std::string &prefix,
-            const char *expr)
-{
-    double total = 0;
-    const char *tok = expr;
-    while (tok != nullptr && *tok != '\0') {
-        const char *plus = std::strchr(tok, '+');
-        std::string name =
-            prefix + (plus != nullptr
-                          ? std::string(tok, static_cast<std::size_t>(
-                                                 plus - tok))
-                          : std::string(tok));
-        if (s.has(name))
-            total += s.get(name);
-        tok = plus != nullptr ? plus + 1 : nullptr;
-    }
-    return total;
-}
-
-} // namespace
-
-bool
-isQuantileStat(const std::string &name)
-{
-    return StatKindRegistry::instance().isQuantile(name);
-}
-
-StatSet
-subtractCounters(const StatSet &after, const StatSet &before)
-{
-    const StatKindRegistry &reg = StatKindRegistry::instance();
-    StatSet out;
-    for (const auto &[name, value] : after.entries()) {
-        // Gauges, quantiles and histogram summaries report their
-        // end-of-window reading (differencing point-in-time values or
-        // percentiles of a cumulative histogram is noise); counters
-        // and rates subtract, and recomputeWindowedRates then rebuilds
-        // every rate from the subtracted raws.
-        if (reg.windowRule(name) == WindowRule::KeepLast) {
-            out.add(name, value);
-            continue;
-        }
-        double prev = before.has(name) ? before.get(name) : 0.0;
-        out.add(name, value - prev);
-    }
-    return out;
-}
-
-void
-recomputeWindowedRates(StatSet &s)
-{
-    const StatKindRegistry &reg = StatKindRegistry::instance();
-    // Collect names first: StatSet::add overwrites in place for
-    // existing keys, but iterating a container while mutating it is a
-    // trap worth avoiding outright.
-    std::vector<std::string> names;
-    names.reserve(s.entries().size());
-    for (const auto &[name, value] : s.entries())
-        names.push_back(name);
-    for (const auto &name : names) {
-        const StatDecl *d = reg.resolve(name);
-        if (d == nullptr || d->sem.kind != StatKind::Rate)
-            continue;
-        // The declaration's raw-counter names are relative to the
-        // addAll prefix the exported name carries ("llc.bank0." for
-        // llc.bank0.hit_rate), which is whatever precedes the
-        // declared suffix.
-        std::string prefix =
-            name.substr(0, name.size() - std::strlen(d->name));
-        s.add(name, safeRate(sumCounters(s, prefix, d->sem.num),
-                             sumCounters(s, prefix, d->sem.den)));
-    }
-}
-
 StatSet
 windowedStatDelta(const StatSet &after, const StatSet &before)
 {
-    StatSet out = subtractCounters(after, before);
-    recomputeWindowedRates(out);
+    StatSet out;
+    const auto &entries = after.entries();
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const auto &[name, value] = entries[i];
+        const StatSet::Rule &rule = after.rules()[i];
+        switch (rule.window) {
+          case WindowRule::Subtract:
+            out.add(name,
+                    value - (before.has(name) ? before.get(name) : 0.0));
+            break;
+          case WindowRule::KeepLast:
+            out.addGauge(name, value);
+            break;
+          case WindowRule::Recompute:
+            // A rate's raws precede it, so they are windowed already.
+            out.addRate(name, rule.rate.num, rule.rate.den);
+            break;
+        }
+    }
     return out;
 }
 

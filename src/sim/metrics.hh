@@ -8,7 +8,6 @@
 #ifndef GARIBALDI_SIM_METRICS_HH
 #define GARIBALDI_SIM_METRICS_HH
 
-#include <string>
 #include <vector>
 
 #include "common/stats.hh"
@@ -30,53 +29,14 @@ double weightedSpeedup(const std::vector<double> &shared_ipc,
                        const std::vector<double> &single_ipc);
 
 /**
- * @p numerator / @p denominator, 0 when the denominator is not
- * positive.  Derived rates (hit rate, coverage, average queue delay,
- * ...) must be computed with this from *summed* raw counters — never by
- * averaging or subtracting per-bank / per-window rates, which weights
- * every bank or window equally regardless of its traffic.
- *
- * Windowing rules (what Simulator::run applies to every exported stat):
- * counters subtract across the window boundary; ratios are recomputed
- * with safeRate from the subtracted counters; gauges (point-in-time
- * readings like threshold.threshold) are never differenced — the
- * window reports the end-of-window value.
- */
-double safeRate(double numerator, double denominator);
-
-/**
- * True when @p name windows as a percentile gauge.  Registry-driven:
- * declared quantile stats (common/stat_kind.hh) answer true whatever
- * their spelling; undeclared names fall back to the canonical suffix
- * set (StatKindRegistry::quantileSuffixes — _p50/_p90/_p95/_p99).
- * Percentiles of a cumulative histogram cannot be differenced across
- * snapshots, so windowing reports their end-of-window reading.
- */
-bool isQuantileStat(const std::string &name);
-
-/**
- * Counter subtraction across a window boundary: every entry of
- * @p after minus its @p before reading (absent = 0), except stats
- * whose declared kind windows as keep-last (gauges, quantiles,
- * histogram summaries), which keep the after value.
- */
-StatSet subtractCounters(const StatSet &after, const StatSet &before);
-
-/**
- * Recompute every declared-rate entry of @p s in place from its raw
- * counters — a difference of ratios is not the ratio of differences.
- * The raw names come from each rate's SIM_STAT declaration, resolved
- * under the same addAll prefix as the rate itself; there is no
- * hard-coded name list to drift from the producers.
- */
-void recomputeWindowedRates(StatSet &s);
-
-/**
- * The full windowing discipline in one call: subtractCounters, then
- * recomputeWindowedRates.  Used by Simulator::run for the detailed
+ * The counter delta of a window: every entry of @p after, ruled by
+ * how it was added (common/stats.hh).  Counters subtract their
+ * @p before reading (absent = 0); gauges, quantiles and summaries keep
+ * the end-of-window reading; rates are recomputed with safeRate from
+ * the windowed raw counters, because a difference of ratios is not
+ * the ratio of differences.  Used by Simulator::run for the detailed
  * window and by the telemetry sink for every intra-run window, so the
- * two can never drift apart.  Gauges keep their end-of-window reading
- * via their declared kind — callers no longer re-add them.
+ * two can never drift apart.
  */
 StatSet windowedStatDelta(const StatSet &after, const StatSet &before);
 

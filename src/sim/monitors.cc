@@ -2,31 +2,8 @@
 
 #include <algorithm>
 
-#include "common/stat_kind.hh"
-
 namespace garibaldi
 {
-
-SIM_STATS(ReuseDistanceMonitor,
-    SIM_STAT("instr_mean_distance", histogram_summary),
-    SIM_STAT("data_mean_distance", histogram_summary),
-    SIM_STAT("instr_distance_p90", quantile),
-    SIM_STAT("data_distance_p90", quantile),
-    SIM_STAT("instr_samples", counter),
-    SIM_STAT("data_samples", counter));
-
-SIM_STATS(LineFrequencyMonitor,
-    SIM_STAT("instr_accesses_per_line", gauge),
-    SIM_STAT("data_accesses_per_line", gauge),
-    SIM_STAT("instr_access_ratio", gauge),
-    SIM_STAT("distinct_instr_lines", gauge),
-    SIM_STAT("distinct_data_lines", gauge));
-
-SIM_STATS(PairingMonitor,
-    SIM_STAT("instr_missrate_datahot", gauge),
-    SIM_STAT("instr_missrate_datacold", gauge),
-    SIM_STAT("data_sharing_degree", gauge),
-    SIM_STAT("tracked_instr_lines", gauge));
 
 ReuseDistanceMonitor::ReuseDistanceMonitor(std::uint32_t llc_sets,
                                            unsigned sample_shift)
@@ -67,15 +44,15 @@ StatSet
 ReuseDistanceMonitor::stats() const
 {
     StatSet s;
-    s.add("instr_mean_distance", instrDist.mean());
-    s.add("data_mean_distance", dataDist.mean());
-    // Percentile gauges carry the canonical _p90 suffix so windowing
+    s.addGauge("instr_mean_distance", instrDist.mean());
+    s.addGauge("data_mean_distance", dataDist.mean());
+    // Percentiles of the cumulative histograms are gauges: windowing
     // keeps the end-of-window reading instead of differencing the
-    // cumulative histogram's landmarks across snapshots.
-    s.add("instr_distance_p90",
-          static_cast<double>(instrDist.percentile(0.9)));
-    s.add("data_distance_p90",
-          static_cast<double>(dataDist.percentile(0.9)));
+    // landmarks across snapshots.
+    s.addGauge("instr_distance_p90",
+               static_cast<double>(instrDist.percentile(0.9)));
+    s.addGauge("data_distance_p90",
+               static_cast<double>(dataDist.percentile(0.9)));
     s.add("instr_samples", static_cast<double>(instrDist.count()));
     s.add("data_samples", static_cast<double>(dataDist.count()));
     return s;
@@ -121,12 +98,13 @@ StatSet
 LineFrequencyMonitor::stats() const
 {
     StatSet s;
-    s.add("instr_accesses_per_line", instrAccessesPerLine());
-    s.add("data_accesses_per_line", dataAccessesPerLine());
-    s.add("instr_access_ratio", instrAccessRatio());
-    s.add("distinct_instr_lines",
-          static_cast<double>(instrCounts.size()));
-    s.add("distinct_data_lines", static_cast<double>(dataCounts.size()));
+    s.addGauge("instr_accesses_per_line", instrAccessesPerLine());
+    s.addGauge("data_accesses_per_line", dataAccessesPerLine());
+    s.addGauge("instr_access_ratio", instrAccessRatio());
+    s.addGauge("distinct_instr_lines",
+               static_cast<double>(instrCounts.size()));
+    s.addGauge("distinct_data_lines",
+               static_cast<double>(dataCounts.size()));
     return s;
 }
 
@@ -210,10 +188,11 @@ StatSet
 PairingMonitor::stats() const
 {
     StatSet s;
-    s.add("instr_missrate_datahot", instrMissRateDataHot());
-    s.add("instr_missrate_datacold", instrMissRateDataCold());
-    s.add("data_sharing_degree", dataSharingDegree());
-    s.add("tracked_instr_lines", static_cast<double>(instrLines.size()));
+    s.addGauge("instr_missrate_datahot", instrMissRateDataHot());
+    s.addGauge("instr_missrate_datacold", instrMissRateDataCold());
+    s.addGauge("data_sharing_degree", dataSharingDegree());
+    s.addGauge("tracked_instr_lines",
+               static_cast<double>(instrLines.size()));
     return s;
 }
 

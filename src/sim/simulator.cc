@@ -207,20 +207,15 @@ Simulator::run(std::uint64_t warmup_per_core,
     // Counter stats subtract cleanly; derived rates do NOT (a
     // difference of ratios is not the ratio of differences), and
     // gauges (point-in-time readings) must not be differenced at all.
-    // windowedStatDelta (sim/metrics.hh) applies the full discipline —
+    // windowedStatDelta (sim/metrics.hh) applies each entry's rule —
     // shared with the telemetry sink's per-window records so the two
     // reports can never drift apart.
     res.mem = windowedStatDelta(sys.hierarchy().stats(), mem_before);
     if (sys.garibaldi()) {
-        // helper.coverage flows through the same safeRate recompute as
-        // the hierarchy rates; the threshold unit's gauges keep their
-        // end-of-window readings via their declared kind (a difference
-        // of two gauge readings is noise — quickstart used to print it
-        // as such).
         res.garibaldi =
             windowedStatDelta(sys.garibaldi()->stats(), gari_before);
     }
-    res.tlb = subtractCounters(sum_tlb(), tlb_before);
+    res.tlb = windowedStatDelta(sum_tlb(), tlb_before);
 
     if (obs) {
         if (telemetry) {

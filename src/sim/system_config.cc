@@ -48,9 +48,6 @@ SystemConfig::hierarchyParams() const
 
     h.dram = dram;
     h.dramFedLlcMshrs = dramFedLlcMshrs;
-    h.l1dNextLinePrefetcher = l1dNextLinePrefetcher;
-    h.l2GhbPrefetcher = l2GhbPrefetcher;
-    h.l1iIspyPrefetcher = l1iIspyPrefetcher;
     return h;
 }
 

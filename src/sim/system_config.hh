@@ -104,11 +104,6 @@ struct SystemConfig
      */
     bool dramFedLlcMshrs = false;
 
-    // Prefetchers (Table 1: I-SPY at L1I, next-line L1D, GHB L2).
-    bool l1dNextLinePrefetcher = true;
-    bool l2GhbPrefetcher = true;
-    bool l1iIspyPrefetcher = true;
-
     /**
      * Observability (src/obs): transaction tracing, telemetry windows
      * and latency-leg histograms.  All knobs default off = the System

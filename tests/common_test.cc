@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/cli.hh"
 #include "common/histogram.hh"
@@ -265,6 +267,46 @@ TEST(Stats, PrefixedMerge)
     EXPECT_EQ(outer.get("pre.x"), 5);
 }
 
+TEST(Stats, WindowRuleIsSetWhereTheEntryIsAdded)
+{
+    StatSet s;
+    s.add("hits", 3);
+    s.add("misses", 1);
+    s.addGauge("threshold", 32);
+    s.addRate("coverage", "hits", {"hits", "misses"});
+    EXPECT_DOUBLE_EQ(s.get("coverage"), 0.75);
+    EXPECT_EQ(s.windowRule("hits"), WindowRule::Subtract);
+    EXPECT_EQ(s.windowRule("threshold"), WindowRule::KeepLast);
+    EXPECT_EQ(s.windowRule("coverage"), WindowRule::Recompute);
+    // A zero denominator reads 0, like safeRate.
+    StatSet empty;
+    empty.add("n", 0);
+    empty.addRate("r", "n", {"n"});
+    EXPECT_DOUBLE_EQ(empty.get("r"), 0.0);
+
+    // addAll keeps each rule and prefixes a rate's raw names.
+    StatSet outer;
+    outer.addAll("helper.", s);
+    ASSERT_EQ(outer.entries().size(), 4u);
+    EXPECT_EQ(outer.entries()[3].first, "helper.coverage");
+    EXPECT_EQ(outer.windowRule("helper.threshold"), WindowRule::KeepLast);
+    const StatSet::Rule &rule = outer.rules()[3];
+    EXPECT_EQ(rule.window, WindowRule::Recompute);
+    EXPECT_EQ(rule.rate.num, "helper.hits");
+    EXPECT_EQ(rule.rate.den,
+              (std::vector<std::string>{"helper.hits", "helper.misses"}));
+}
+
+TEST(StatsDeathTest, RateWithAbsentRawCounterPanics)
+{
+    StatSet s;
+    s.add("hits", 3);
+    EXPECT_DEATH(s.addRate("hit_rate", "hits", {"accesses"}),
+                 "rate 'hit_rate' reads absent counter 'accesses'");
+    EXPECT_DEATH(s.addRate("miss_rate", "misses", {"hits"}),
+                 "absent counter 'misses'");
+}
+
 TEST(TablePrinter, AlignedOutput)
 {
     TablePrinter t({"name", "value"});
@@ -378,6 +420,41 @@ TEST(Cli, UnsignedRejectsNegativeCounts)
                 "error: --n must be >= 0 \\(got -1\\)");
     EXPECT_EXIT(unsignedOf("-0x10"), testing::ExitedWithCode(1),
                 "error: --n must be >= 0 \\(got -16\\)");
+}
+
+TEST(Cli, BoundsRejectValuesTheTargetTypeCannotHold)
+{
+    // A value outside the caller's type used to be cut down to it
+    // (4294967297 cores ran as 1 core); now it is an error, exit 1.
+    auto parsed = [](const char *value) {
+        ArgParser p("test");
+        p.addInt("n", 5, "count");
+        const char *argv[] = {"prog", "--n", value};
+        p.parse(3, argv);
+        return p;
+    };
+    constexpr auto kU32 = std::numeric_limits<std::uint32_t>::max();
+    constexpr auto kIntMin = std::numeric_limits<int>::min();
+    constexpr auto kIntMax = std::numeric_limits<int>::max();
+    EXPECT_EQ(parsed("4294967295").getUnsigned("n", kU32), kU32);
+    EXPECT_EXIT(parsed("4294967297").getUnsigned("n", kU32),
+                testing::ExitedWithCode(1),
+                "error: --n must be <= 4294967295 \\(got 4294967297\\)");
+    EXPECT_EXIT(parsed("-1").getUnsigned("n", kU32),
+                testing::ExitedWithCode(1),
+                "error: --n must be >= 0 \\(got -1\\)");
+    EXPECT_EQ(parsed("-2147483648").getInt("n", kIntMin, kIntMax),
+              kIntMin);
+    EXPECT_EQ(parsed("2147483647").getInt("n", kIntMin, kIntMax),
+              kIntMax);
+    EXPECT_EXIT(parsed("4294967312").getInt("n", kIntMin, kIntMax),
+                testing::ExitedWithCode(1),
+                "error: --n must be <= 2147483647 \\(got 4294967312\\)");
+    EXPECT_EXIT(parsed("-2147483649").getInt("n", kIntMin, kIntMax),
+                testing::ExitedWithCode(1),
+                "error: --n must be >= -2147483648 \\(got -2147483649\\)");
+    // No bound given: the full int64 range, as before.
+    EXPECT_EQ(parsed("-9000000000").getInt("n"), -9000000000LL);
 }
 
 } // namespace

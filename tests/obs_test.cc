@@ -17,7 +17,6 @@
 
 #include "common/histogram.hh"
 #include "common/json.hh"
-#include "common/stat_kind.hh"
 #include "obs/obs.hh"
 #include "sim/experiment.hh"
 #include "sim/metrics.hh"
@@ -100,44 +99,32 @@ TEST(HistogramQuantiles, EmptyAndQuantized)
 
 TEST(Metrics, QuantileStatsAreGauges)
 {
-    EXPECT_TRUE(isQuantileStat("obs.lat.data.dram_p50"));
-    EXPECT_TRUE(isQuantileStat("dram.row_hit_lat_p95"));
-    EXPECT_TRUE(isQuantileStat("x_p99"));
-    EXPECT_FALSE(isQuantileStat("llc.hits"));
-    EXPECT_FALSE(isQuantileStat("p50"));
-    // _p90 joined the canonical suffix set when the reuse-distance
-    // monitor's p90 gauges were renamed to it (QuantileSummary exports
-    // p90, so the suffix family must cover it).
-    EXPECT_TRUE(isQuantileStat("lat_p90"));
-
     StatSet before, after;
     before.add("hits", 10);
-    before.add("lat_p99", 200);
+    before.addGauge("lat_p99", 200);
     after.add("hits", 25);
-    after.add("lat_p99", 170);
-    StatSet d = subtractCounters(after, before);
+    after.addGauge("lat_p99", 170);
+    EXPECT_EQ(after.windowRule("hits"), WindowRule::Subtract);
+    EXPECT_EQ(after.windowRule("lat_p99"), WindowRule::KeepLast);
+    StatSet d = windowedStatDelta(after, before);
     EXPECT_DOUBLE_EQ(d.get("hits"), 15.0);
     // Percentiles of a cumulative histogram cannot be differenced:
     // the window keeps the end-of-window reading.
     EXPECT_DOUBLE_EQ(d.get("lat_p99"), 170.0);
+    EXPECT_EQ(d.windowRule("lat_p99"), WindowRule::KeepLast);
 }
 
 TEST(Metrics, EveryQuantileSuffixWindowsKeepLast)
 {
-    // Sweep the registry's own suffix list so a suffix added to
-    // StatKindRegistry::quantileSuffixes() is covered here without a
-    // test edit — the list, isQuantileStat and the windowing rule
-    // must move together.
+    // The landmarks every QuantileSummary producer exports.
     int n = 0;
-    for (const char *const *sfx = StatKindRegistry::quantileSuffixes();
-         *sfx != nullptr; ++sfx) {
+    for (const char *sfx : {"_p50", "_p90", "_p95", "_p99"}) {
         ++n;
-        std::string name = std::string("sweep") + *sfx;
-        EXPECT_TRUE(isQuantileStat(name)) << name;
+        std::string name = std::string("sweep") + sfx;
         StatSet before, after;
-        before.add(name, 40.0);
-        after.add(name, 30.0);
-        StatSet d = subtractCounters(after, before);
+        before.addGauge(name, 40.0);
+        after.addGauge(name, 30.0);
+        StatSet d = windowedStatDelta(after, before);
         // Keep-last: the end-of-window reading survives even when it
         // is *smaller* than the previous snapshot (a subtraction
         // would have produced -10 here).
@@ -294,6 +281,8 @@ TEST(Tracer, StatsExportPercentilesPerPresentClass)
     EXPECT_DOUBLE_EQ(s.get("trace.captured"), 8.0);
     EXPECT_DOUBLE_EQ(s.get("lat.data.count"), 8.0);
     EXPECT_TRUE(s.has("lat.data.total_p99"));
+    EXPECT_EQ(s.windowRule("lat.data.total_p99"), WindowRule::KeepLast);
+    EXPECT_EQ(s.windowRule("lat.data.count"), WindowRule::Subtract);
     // No instruction transactions were fed: the class is absent from
     // the surface rather than exported as all-zero percentiles.
     EXPECT_FALSE(s.has("lat.instr.count"));
@@ -468,17 +457,18 @@ TEST(ObsEndToEnd, TelemetryWindowInvariants)
     cfg.obs.telemetryOut = "unused.jsonl";
     System sys(cfg, homogeneousMix("tpcc", 2));
     Simulator sim(sys);
-    sim.run(500, 4000);
+    SimResult r = sim.run(500, 4000);
     ASSERT_NE(sys.obs(), nullptr);
     TelemetrySink *tel = sys.obs()->telemetry();
     ASSERT_NE(tel, nullptr);
     EXPECT_GE(tel->windows(), 2u);
 
     // Each JSONL line parses; [start, end) spans chain with no gaps
-    // and the per-window instruction deltas sum to the whole window.
+    // and the per-window instruction and counter deltas sum to the
+    // detailed window's (both are windowed by windowedStatDelta).
     std::istringstream lines(tel->jsonl());
     std::string line;
-    double prev_end = -1, instr_sum = 0;
+    double prev_end = -1, instr_sum = 0, llc_sum = 0, dram_sum = 0;
     std::uint64_t n = 0;
     while (std::getline(lines, line)) {
         JsonValue rec = JsonValue::parse(line);
@@ -491,12 +481,17 @@ TEST(ObsEndToEnd, TelemetryWindowInvariants)
                   rec.get("start").asNumber());
         prev_end = rec.get("end").asNumber();
         instr_sum += rec.get("instructions").asNumber();
+        llc_sum += rec.get("llc_accesses").asNumber();
+        dram_sum += rec.get("dram_reads").asNumber();
         EXPECT_TRUE(rec.has("ipc"));
         EXPECT_TRUE(rec.has("llc_hit_rate"));
         ++n;
     }
     EXPECT_EQ(n, tel->windows());
     EXPECT_DOUBLE_EQ(instr_sum, 2.0 * 4000);
+    EXPECT_GT(llc_sum, 0.0);
+    EXPECT_DOUBLE_EQ(llc_sum, r.mem.get("llc.accesses"));
+    EXPECT_DOUBLE_EQ(dram_sum, r.mem.get("dram.reads"));
     std::remove("unused.jsonl");
 }
 

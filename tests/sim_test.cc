@@ -3,7 +3,7 @@
  * Simulation-layer tests: system assembly, simulator determinism and
  * window accounting, metrics, the energy model, the characterization
  * monitors, the hierarchy's end-to-end behavior, and the stat contract
- * (declared stat kinds against what the producers export).
+ * (each exported stat's window rule, with every gate off and on).
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stat_kind.hh"
 #include "garibaldi/garibaldi.hh"
 #include "sim/energy.hh"
 #include "sim/experiment.hh"
@@ -152,14 +151,12 @@ TEST(Simulator, WindowedGaribaldiRatiosAndGauges)
     EXPECT_GE(r.garibaldi.get("helper.coverage"), 0.0);
     EXPECT_LE(r.garibaldi.get("helper.coverage"), 1.0);
     // Gauges match the live module's current reading, not a delta.
-    // The gauge set comes from the declared stat kinds (the threshold
-    // unit's SIM_STATS block), not a hand-maintained name list.
+    // The gauge set comes from the rule each stat was added with, not
+    // a hand-maintained name list.
     StatSet live = sys.garibaldi()->stats();
-    const StatKindRegistry &reg = StatKindRegistry::instance();
     int gauges = 0;
     for (const auto &[name, value] : live.entries()) {
-        const StatDecl *d = reg.resolve(name);
-        if (!d || d->sem.kind != StatKind::Gauge)
+        if (live.windowRule(name) != WindowRule::KeepLast)
             continue;
         ++gauges;
         ASSERT_TRUE(r.garibaldi.has(name)) << name;
@@ -170,6 +167,32 @@ TEST(Simulator, WindowedGaribaldiRatiosAndGauges)
     // threshold.color is a rotation index: always non-negative, which
     // the old differenced report was not.
     EXPECT_GE(r.garibaldi.get("threshold.color"), 0.0);
+}
+
+TEST(Simulator, WindowedBankRatesUseTheBanksOwnCounters)
+{
+    // addAll puts the "llc.bank1." prefix on a rate's raw names too,
+    // so bank 1's windowed rates are rebuilt from bank 1's windowed
+    // counters, not from the aggregate LLC's or another bank's.
+    SystemConfig cfg = tinyConfig(2);
+    cfg.llcBanks = 2;
+    System sys(cfg, homogeneousMix("verilator", 2));
+    SimResult r = Simulator(sys).run(20000, 10000);
+
+    double hits = r.mem.get("llc.bank1.hits");
+    double accesses = r.mem.get("llc.bank1.accesses");
+    ASSERT_GT(accesses, 0.0);
+    EXPECT_LT(accesses, r.mem.get("llc.accesses"));
+    EXPECT_EQ(r.mem.windowRule("llc.bank1.hit_rate"),
+              WindowRule::Recompute);
+    EXPECT_DOUBLE_EQ(r.mem.get("llc.bank1.hit_rate"),
+                     safeRate(hits, accesses));
+    EXPECT_DOUBLE_EQ(r.mem.get("llc.bank1.instr_miss_rate"),
+                     safeRate(r.mem.get("llc.bank1.instr_misses"),
+                              r.mem.get("llc.bank1.instr_accesses")));
+    EXPECT_DOUBLE_EQ(r.mem.get("llc.hit_rate"),
+                     safeRate(r.mem.get("llc.hits"),
+                              r.mem.get("llc.accesses")));
 }
 
 TEST(Simulator, CpiStackCoversAllCycles)
@@ -312,8 +335,8 @@ TEST(ReuseDistanceMonitor, WindowedP90KeepsEndOfWindowReading)
     // landmarks of the cumulative reuse-distance histograms used to
     // be *subtracted* across window snapshots like counters, so any
     // window after the first reported a meaningless difference of
-    // two percentiles.  Their declared quantile kind (and the
-    // canonical _p90 suffix) now keeps the end-of-window reading.
+    // two percentiles.  They are added as gauges, so a window keeps
+    // the end-of-window reading.
     ReuseDistanceMonitor mon(16, /*sample every set*/ 0);
     Addr stride = 16 * 64; // one set apart: all lines share set 0
     auto line = [&](int i) { return static_cast<Addr>(i) * stride; };
@@ -351,68 +374,14 @@ TEST(ReuseDistanceMonitor, WindowedP90KeepsEndOfWindowReading)
                          w1_live.get("data_samples"));
 }
 
-TEST(StatKindRegistry, ResolvesPrefixedAndSuffixNestedNames)
-{
-    const StatKindRegistry &reg = StatKindRegistry::instance();
-
-    // Exact names resolve to their own declaration.
-    const StatDecl *d = reg.resolve("row_hit_rate");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(d->sem.kind, StatKind::Rate);
-
-    // addAll prefixes resolve at a '.' boundary: "dram.row_hit_rate"
-    // finds "row_hit_rate", and the embedded "hit_rate" declaration
-    // does NOT shadow it (the character before it is '_', not '.').
-    d = reg.resolve("dram.row_hit_rate");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(std::string(d->name), "row_hit_rate");
-
-    // The longest declared suffix wins: "garibaldi.helper.coverage"
-    // must find "helper.coverage" (Garibaldi's rate), not a
-    // bare "coverage" declaration.
-    d = reg.resolve("garibaldi.helper.coverage");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(std::string(d->name), "helper.coverage");
-    EXPECT_EQ(d->sem.kind, StatKind::Rate);
-
-    // Undeclared names resolve to nothing; windowing falls back to
-    // the quantile-suffix heuristic, everything else subtracts.
-    EXPECT_EQ(reg.resolve("no.such.stat"), nullptr);
-    EXPECT_EQ(reg.windowRule("no.such.stat"), WindowRule::Subtract);
-    EXPECT_EQ(reg.windowRule("no.such.stat_p95"),
-              WindowRule::KeepLast);
-
-    // Declared kinds drive the windowing rule.
-    EXPECT_EQ(reg.windowRule("threshold.threshold"),
-              WindowRule::KeepLast);
-    EXPECT_EQ(reg.windowRule("dram.reads"), WindowRule::Subtract);
-    EXPECT_EQ(reg.windowRule("dram.avg_queue_delay"),
-              WindowRule::Recompute);
-
-    // Dynamically composed families resolve too, and window exactly as
-    // they did while wildcard declarations were skipped: a per-bank
-    // LLC counter still finds its literal suffix, and a sampled
-    // latency percentile reaches its "lat.*_p95" quantile declaration.
-    d = reg.resolve("bank3.queued_accesses");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(std::string(d->name), "queued_accesses");
-    EXPECT_EQ(reg.windowRule("bank3.queued_accesses"),
-              WindowRule::Subtract);
-    d = reg.resolve("obs.lat.pf_instr.dram_p95");
-    ASSERT_NE(d, nullptr);
-    EXPECT_EQ(std::string(d->name), "lat.*_p95");
-    EXPECT_EQ(reg.windowRule("obs.lat.pf_instr.dram_p95"),
-              WindowRule::KeepLast);
-}
-
 // --------------------------------------------------------------------
-// Stat contract: the SIM_STATS declarations checked against what every
-// producer actually exports, knobs off and with every gate on.
+// Stat contract: the window rule of every exported stat, checked
+// against what every producer exports knobs off and with every gate on.
 // --------------------------------------------------------------------
 
-/** Names every stat producer exports after one short run of @p cfg. */
-std::set<std::string>
-exportedStatNames(const SystemConfig &cfg, bool with_monitors)
+/** Every set each stat producer exports after one short run of @p cfg. */
+std::vector<StatSet>
+exportedStatSets(const SystemConfig &cfg, bool with_monitors)
 {
     System sys(cfg, randomServerMix(7, cfg.numCores));
     ReuseDistanceMonitor reuse(sys.hierarchy().llc().totalSets(), 0);
@@ -436,18 +405,13 @@ exportedStatNames(const SystemConfig &cfg, bool with_monitors)
     }
     if (sys.garibaldi())
         sets.push_back(sys.garibaldi()->helperTable(0).stats());
-
-    std::set<std::string> names;
-    for (const StatSet &s : sets)
-        for (const auto &[name, value] : s.entries())
-            names.insert(name);
-    return names;
+    return sets;
 }
 
 /** Telemetry output of the all-gates-on run; removed after it. */
 const char *const kContractTelemetry = "stat_contract.telemetry.jsonl";
 
-/** Every gate a SIM_STAT_GATED declaration names, switched on. */
+/** Every default-off model and subsystem switched on. */
 SystemConfig
 allGatesOnConfig()
 {
@@ -466,6 +430,38 @@ allGatesOnConfig()
     return cfg;
 }
 
+/**
+ * Leaf names (after the last '.') exported only when their model is
+ * on: the bank contention model's queue books, the DRAM row, timing,
+ * turnaround and refresh models.
+ */
+const std::set<std::string> kGatedLeaves = {
+    "bank_reservations", "bank_backfills", "queued_accesses",
+    "tag_queue_cycles", "data_queue_cycles", "queue_cycles",
+    "mshr_stall_cycles",
+    "row_hits", "row_misses", "row_conflicts", "row_accesses",
+    "row_hit_rate",
+    "row_hit_reads", "row_hit_lat_cycles", "avg_row_hit_latency",
+    "row_hit_lat_p50", "row_hit_lat_p95", "row_hit_lat_p99",
+    "row_miss_reads", "row_miss_lat_cycles", "avg_row_miss_latency",
+    "row_miss_lat_p50", "row_miss_lat_p95", "row_miss_lat_p99",
+    "row_conflict_reads", "row_conflict_lat_cycles",
+    "avg_row_conflict_latency", "row_conflict_lat_p50",
+    "row_conflict_lat_p95", "row_conflict_lat_p99",
+    "read_lat_cycles", "avg_read_latency",
+    "turnarounds", "turnaround_cycles",
+    "refresh_blocked", "refresh_stall_cycles"};
+
+/** Full names exported only by a banked LLC or by telemetry. */
+const std::set<std::string> kGatedNames = {
+    "llc.banks", "obs.telemetry.windows"};
+
+std::string
+leafOf(const std::string &name)
+{
+    return name.substr(name.rfind('.') + 1);
+}
+
 bool
 endsWith(const std::string &s, const std::string &suffix)
 {
@@ -473,88 +469,65 @@ endsWith(const std::string &s, const std::string &suffix)
            s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
-std::vector<std::string>
-splitRaws(const char *joined)
+TEST(StatContract, RulesMatchWhatProducersExport)
 {
-    std::vector<std::string> raws;
-    std::string cur;
-    for (const char *p = joined; *p != '\0'; ++p) {
-        if (*p == '+') {
-            raws.push_back(cur);
-            cur.clear();
-        } else {
-            cur += *p;
-        }
-    }
-    raws.push_back(cur);
-    return raws;
-}
-
-TEST(StatContract, DeclarationsMatchWhatProducersExport)
-{
-    const StatKindRegistry &reg = StatKindRegistry::instance();
-    std::set<std::string> off = exportedStatNames(tinyConfig(2), false);
-    std::set<std::string> on = exportedStatNames(allGatesOnConfig(), true);
+    std::vector<StatSet> off = exportedStatSets(tinyConfig(2), false);
+    std::vector<StatSet> on = exportedStatSets(allGatesOnConfig(), true);
     std::remove(kContractTelemetry);
-    std::set<std::string> all = off;
-    all.insert(on.begin(), on.end());
 
-    // (a) Every exported name resolves to a declaration, so windowing
-    // never falls back to guessing from the spelling.
-    for (const std::string &name : all)
-        EXPECT_NE(reg.resolve(name), nullptr) << "undeclared: " << name;
-
-    // (b) With every gate on, every literal declaration is exported:
-    // a declaration nothing emits is stale.
-    std::set<const StatDecl *> emitted;
-    for (const std::string &name : on)
-        emitted.insert(reg.resolve(name));
-    for (const auto &[name, decl] : reg.declarations())
-        EXPECT_TRUE(emitted.count(&decl)) << "never exported: " << name;
-
-    // (c) With every knob off, no gated stat appears.
-    for (const std::string &name : off) {
-        const StatDecl *d = reg.resolve(name);
-        if (d != nullptr) {
-            EXPECT_EQ(d->gate, nullptr)
-                << name << " exported with its gate '" << d->gate
-                << "' off";
+    // With every knob off, no gated stat appears; with every gate
+    // on, each gated name is exported (so the lists above stay true).
+    std::set<std::string> on_leaves, on_names;
+    for (const StatSet &s : on) {
+        for (const auto &[name, value] : s.entries()) {
+            on_leaves.insert(leafOf(name));
+            on_names.insert(name);
         }
     }
+    for (const StatSet &s : off) {
+        for (const auto &[name, value] : s.entries()) {
+            EXPECT_FALSE(kGatedLeaves.count(leafOf(name)) ||
+                         kGatedNames.count(name))
+                << name << " exported with its model off";
+        }
+    }
+    for (const std::string &leaf : kGatedLeaves)
+        EXPECT_TRUE(on_leaves.count(leaf)) << "never exported: " << leaf;
+    for (const std::string &name : kGatedNames)
+        EXPECT_TRUE(on_names.count(name)) << "never exported: " << name;
 
-    // (d) The spelling agrees with the kind: *_rate and avg_* are
-    // rates (recomputed per window), quantile suffixes are quantiles
-    // (kept, never differenced).
+    // The spelling agrees with the rule: *_rate and avg_* entries
+    // are recomputed per window, quantile suffixes keep the
+    // end-of-window reading (never differenced).
     // threshold.last_llc_miss_rate is an EMA-smoothed point-in-time
     // reading of the miss rate, not a counter-derived ratio to
     // recompute per window, so it stays a gauge.
-    const std::set<std::string> kSuffixKindExempt = {
+    const std::set<std::string> kSuffixRuleExempt = {
         "threshold.last_llc_miss_rate"};
-    for (const std::string &name : all) {
-        const StatDecl *d = reg.resolve(name);
-        if (d == nullptr || kSuffixKindExempt.count(name))
-            continue;
-        std::string leaf = name.substr(name.rfind('.') + 1);
-        if (endsWith(leaf, "_rate") || leaf.rfind("avg_", 0) == 0) {
-            EXPECT_EQ(d->sem.kind, StatKind::Rate) << name;
-        }
-        for (const char *const *sfx = StatKindRegistry::quantileSuffixes();
-             *sfx != nullptr; ++sfx) {
-            if (endsWith(leaf, *sfx)) {
-                EXPECT_EQ(d->sem.kind, StatKind::Quantile) << name;
+    std::size_t rates = 0, quantiles = 0;
+    for (const std::vector<StatSet> *sets : {&off, &on}) {
+        for (const StatSet &s : *sets) {
+            for (const auto &[name, value] : s.entries()) {
+                if (kSuffixRuleExempt.count(name))
+                    continue;
+                std::string leaf = leafOf(name);
+                if (endsWith(leaf, "_rate") || leaf.rfind("avg_", 0) == 0) {
+                    ++rates;
+                    EXPECT_EQ(s.windowRule(name), WindowRule::Recompute)
+                        << name;
+                }
+                for (const char *sfx : {"_p50", "_p90", "_p95", "_p99"}) {
+                    if (endsWith(leaf, sfx)) {
+                        ++quantiles;
+                        EXPECT_EQ(s.windowRule(name), WindowRule::KeepLast)
+                            << name;
+                    }
+                }
             }
         }
     }
-
-    // (e) Every rate's raws are declared names.
-    for (const auto &[name, decl] : reg.declarations()) {
-        if (decl.sem.kind != StatKind::Rate)
-            continue;
-        for (const char *joined : {decl.sem.num, decl.sem.den})
-            for (const std::string &raw : splitRaws(joined))
-                EXPECT_TRUE(reg.declarations().count(raw))
-                    << name << " reads undeclared raw '" << raw << "'";
-    }
+    EXPECT_GT(rates, 0u);
+    EXPECT_GT(quantiles, 0u);
 }
 
 TEST(LineFrequencyMonitor, CountsPerLineAndRatio)
